@@ -3,7 +3,8 @@
 Subcommands: parse, count, enumerate, normalize, verify, partition-check.
 Output is deterministic (sorted keys, canonical orderings); exit codes are
 0 for success, 1 for usage/resource errors, 2 when verification finds a
-countermodel.
+countermodel.  Every resource failure, including nesting too deep for
+the recursive formula walkers, exits 1 with an ``error:`` line.
 """
 from __future__ import annotations
 
@@ -11,9 +12,10 @@ import argparse
 import json
 import sys
 
+from .bitsets import too_long_to_print
 from .constituents import DEFAULT_CAP, count, partition_check, space
 from .domain_system import Generator, derive_generator
-from .errors import EngineError
+from .errors import CapExceeded, EngineError
 from .logics import DEFAULT_BOUND, LOGIC_IDS, build_instance
 from .rewriter import disjunction, normalize, verify
 from .syntax import depth, parse_formula, render_formula, vocabulary
@@ -143,7 +145,13 @@ def cmd_parse(args) -> int:
 def cmd_count(args) -> int:
     inst = _instance(args)
     gen = _generator(args, inst)
-    _emit({"key": gen.describe(), "count": count(gen, inst.domain)}, args.fmt)
+    n = count(gen, inst.domain)
+    if too_long_to_print(n):
+        raise CapExceeded(
+            f"space {gen.key} has 2**{n.bit_length() - 1} members; "
+            "the count has too many digits to print", count=n
+        )
+    _emit({"key": gen.describe(), "count": n}, args.fmt)
     return 0
 
 
@@ -218,6 +226,10 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except EngineError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        print("error: recursion limit exceeded: the input is nested too deeply",
+              file=sys.stderr)
         return 1
 
 

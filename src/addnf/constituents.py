@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bitsets import zero_bit_pattern
+from .bitsets import int_text, zero_bit_pattern
 from .domain_system import DomainSystem, Generator
 from .errors import CapExceeded, EngineError, NotLargeEnough
 from .syntax import And, App, ConnectiveSig, Formula, Not, Prop, conj_all
@@ -236,36 +236,62 @@ class ConstituentSpace:
 
 
 def count(gen: Generator, ds: DomainSystem) -> int:
-    """Exact cardinality of the space, from the recurrence, without building it."""
+    """Exact cardinality of the space, from the recurrence, without building it.
+
+    The recurrence is solved bottom-up, degree 0 first, over the areas a
+    degree-k space reaches at each lower degree, so its cost does not
+    grow with ``k``: every space of degree 4 or more overflows
+    ``_MAX_COUNT_BITS``, and CapExceeded names the first degree that does.
+    """
     cache = ds.cache("counts")
-    key = gen.key
-    if key in cache:
-        return cache[key]
+    if gen.key in cache:
+        return cache[gen.key]
     if not ds.large_enough(gen.X, gen.E):
         raise NotLargeEnough(
             f"E={sorted(gen.E)} is not large enough for X={sorted(gen.X)}"
         )
-    nt = len(ds.tilde(gen.X, gen.E))
-    if gen.k == 0:
-        n = 1 << nt
-    else:
-        compatible = [c for c in gen.sorted_conns() if ds.compatible(c, gen.X, gen.E)]
-        down = gen.k - 1
-        if compatible:
-            bar = sum(
-                count(Generator(down, gen.X, gen.Y, ds.j2_of(c)), ds) ** c.rank
-                for c in compatible
-            )
-        else:
-            bar = count(Generator(down, gen.X, gen.Y, gen.E), ds)
-        if nt + bar > _MAX_COUNT_BITS:
-            raise CapExceeded(
-                f"space {key} would have 2**{nt + bar} members; "
-                "the exact count does not fit in memory"
-            )
-        n = (1 << nt) << bar
-    cache[key] = n
-    return n
+    # below[A]: the bar sources of area A one degree down, as (area, rank)
+    # pairs; the degenerate branch counts A itself once.  reached[i]: the
+    # areas reached i degrees below the top.  A connective compatible at A
+    # is compatible at its own j2 (compatibility implies largeness there),
+    # so every source is its own source again: after the first step the
+    # sets only grow, and they reach a fixed point however large k is.
+    conns = gen.sorted_conns()
+    below: dict[frozenset, tuple] = {}
+    reached = [frozenset((gen.E,))]
+    while len(reached) <= gen.k:
+        for area in reached[-1]:
+            if area not in below:
+                compatible = [c for c in conns if ds.compatible(c, gen.X, area)]
+                below[area] = tuple((ds.j2_of(c), c.rank) for c in compatible) or ((area, 1),)
+        nxt = frozenset(a for area in reached[-1] for a, _ in below[area])
+        if nxt == reached[-1]:
+            break
+        reached.append(nxt)
+    # Work in log2: a count is 2**e, and a bar term count**r is 2**(e*r).
+    logs: dict[frozenset, int] = {}
+    for d in range(gen.k + 1):
+        down, logs = logs, {}
+        for area in sorted(reached[min(gen.k - d, len(reached) - 1)], key=sorted):
+            key = Generator(d, gen.X, gen.Y, area).key
+            n = cache.get(key)
+            if n is None:
+                e = len(ds.tilde(gen.X, area))
+                if d:
+                    terms = [down[a] * r for a, r in below[area]]
+                    # 2**t alone exceeds the cap once t has as many bits as it.
+                    if max(terms) >= _MAX_COUNT_BITS.bit_length():
+                        e = _MAX_COUNT_BITS + 1
+                    else:
+                        e += sum(1 << t for t in terms)
+                if e > _MAX_COUNT_BITS:
+                    raise CapExceeded(
+                        f"space {key} would have more than 2**{_MAX_COUNT_BITS} members; "
+                        "the exact count does not fit in memory"
+                    )
+                n = cache[key] = 1 << e
+            logs[area] = n.bit_length() - 1
+    return cache[gen.key]
 
 
 def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> ConstituentSpace:
@@ -280,7 +306,8 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
         n = count(gen, ds)
         if n > cap:
             raise CapExceeded(
-                f"space {gen.key} has {n} members, above the cap {cap}", count=n
+                f"space {gen.key} has 2**{n.bit_length() - 1} members, above the cap {cap}",
+                count=n,
             )
         xtilde = tuple(sorted(ds.tilde(gen.X, gen.E)))
         compatible, bar, children, base = (), (), {}, None
@@ -320,7 +347,7 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
         cache[gen.key] = sp
     elif sp.size > cap:
         raise CapExceeded(
-            f"space {gen.key} has {sp.size} members, above the cap {cap}",
+            f"space {gen.key} has 2**{sp.size.bit_length() - 1} members, above the cap {cap}",
             count=sp.size,
         )
     return sp
@@ -357,7 +384,7 @@ def partition_check(sp: ConstituentSpace, oracle, bound: int,
     est = oracle.estimate_contexts(sp.gen, bound)
     if est * sp.size > budget:
         raise CapExceeded(
-            f"partition check over {sp.size} members x {est} models "
+            f"partition check over {sp.size} members x {int_text(est)} models "
             f"exceeds the budget {budget}"
         )
     checked = 0

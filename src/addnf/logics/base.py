@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..bitsets import iter_bits
+from ..bitsets import int_text, iter_bits
 from ..domain_system import Generator
 from ..errors import BudgetExceeded
 from ..syntax import And, App, Formula, Not, Or, Prop, vocabulary
@@ -99,7 +99,7 @@ class Oracle:
         est = self.estimate_contexts(gen, bound)
         if est > self.budget:
             raise BudgetExceeded(
-                f"{est} models at bound {bound} exceed the budget {self.budget}"
+                f"{int_text(est)} models at bound {bound} exceed the budget {self.budget}"
             )
 
     def vocab_for(self, f: Formula) -> Generator:

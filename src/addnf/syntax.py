@@ -8,6 +8,14 @@ Guarded quantifiers are spelled ``(ex (<vars>) <guard-atom> <body>)``.
 ``(imp f g)`` and ``(iff f g)`` are accepted as sugar and expanded at parse
 time (``imp`` to ``(or (not f) g)``); the AST never stores them.
 
+The parser takes linear time in the length of the text and does not
+recurse on nesting depth: one pass tokenizes and groups the text with an
+explicit stack of open lists, and a second pass interprets the groups
+from an explicit work stack.  Tokens carry only their offset; line and
+column are computed from it when an error is raised.  Only special-form
+hooks (the guarded quantifier ``ex``) call back into the interpreter, so
+nesting those costs Python stack.
+
 Everything here is an immutable value: formulas, signatures and logic
 definitions can be shared freely across threads once constructed.
 """
@@ -15,7 +23,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, NamedTuple
 
 from .errors import DomainViolation, ParseError, UnknownSymbolError
 
@@ -220,54 +229,63 @@ class LogicDef:
 # Parsing
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
+    """A token and its offset into the source text.
+
+    ``line`` and ``col`` are worked out from the offset when asked for,
+    which happens only when an error is raised or a special form needs a
+    position, so tokenizing stays linear in the length of the text.
+    """
+
     text: str
-    line: int
-    col: int
+    offset: int
+    source: str
+
+    @property
+    def line(self) -> int:
+        return self.source.count("\n", 0, self.offset) + 1
+
+    @property
+    def col(self) -> int:
+        return self.offset - self.source.rfind("\n", 0, self.offset)
 
 
 _TOKEN_RE = re.compile(r"[()]|[^()\s]+")
+# _Token's own constructor is a Python-level function; this one is not.
+_token = partial(tuple.__new__, _Token)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    line, start = 1, 0
-    for m in _TOKEN_RE.finditer(text):
-        nl = text.count("\n", start, m.start())
-        if nl:
-            line += nl
-            start = text.rfind("\n", start, m.start()) + 1
-        tokens.append(_Token(m.group(), line, m.start() - start + 1))
-    return tokens
-
-
-class _Reader:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    def read(self):
-        """Read one node: a _Token or a list whose first element is '(' token."""
-        if self.eof():
-            raise ParseError("unexpected end of input")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        if tok.text == ")":
-            raise ParseError("unexpected ')'", tok.line, tok.col)
-        if tok.text != "(":
-            return tok
-        items = [tok]
-        while True:
-            if self.eof():
-                raise ParseError("missing ')'", tok.line, tok.col)
-            if self.tokens[self.pos].text == ")":
-                self.pos += 1
-                return items
-            items.append(self.read())
+def _read(text: str):
+    """Read exactly one node from ``text``: a _Token, or a list whose first
+    element is its '(' token and whose other elements are its children."""
+    matches = _TOKEN_RE.finditer(text)
+    m = next(matches, None)
+    if m is None:
+        raise ParseError("unexpected end of input")
+    node = _token((m.group(), m.start(), text))
+    if node.text == ")":
+        raise ParseError("unexpected ')'", node.line, node.col)
+    if node.text == "(":
+        node, enclosing = [node], []
+        for m in matches:
+            t = m.group()
+            if t == "(":
+                enclosing.append(node)
+                node = [_token((t, m.start(), text))]
+            elif t != ")":
+                node.append(_token((t, m.start(), text)))
+            elif enclosing:
+                enclosing[-1].append(node)
+                node = enclosing.pop()
+            else:
+                break
+        else:
+            raise ParseError("missing ')'", *_node_pos(node))
+    m = next(matches, None)
+    if m is not None:
+        extra = _token((m.group(), m.start(), text))
+        raise ParseError("unexpected trailing input", extra.line, extra.col)
+    return node
 
 
 def _node_pos(node):
@@ -277,55 +295,83 @@ def _node_pos(node):
 
 def parse_formula(text: str, logic: LogicDef) -> Formula:
     """Parse s-expression ``text`` into a validated formula of ``logic``."""
-    reader = _Reader(text)
-    node = reader.read()
-    if not reader.eof():
-        extra = reader.tokens[reader.pos]
-        raise ParseError("unexpected trailing input", extra.line, extra.col)
-    return _interpret(node, logic)
+    return _interpret(_read(text), logic)
 
 
-def _interpret(node, logic: LogicDef) -> Formula:
-    if isinstance(node, _Token):
-        return _interpret_token(node, logic)
-    items = node[1:]
-    if not items:
-        raise ParseError("empty expression", *_node_pos(node))
-    head = items[0]
-    if isinstance(head, list):
-        raise ParseError("expected a connective name", *_node_pos(head))
-    h = head.text
-    args = items[1:]
-    if h == logic.spell_not:
-        _expect_arity(h, args, 1, head)
-        return Not(_interpret(args[0], logic))
-    if h == logic.spell_and:
-        _expect_arity(h, args, 2, head)
-        return And(_interpret(args[0], logic), _interpret(args[1], logic))
-    if h == logic.spell_or:
-        _expect_arity(h, args, 2, head)
-        return Or(_interpret(args[0], logic), _interpret(args[1], logic))
-    if logic.sugar and h == "imp":
-        _expect_arity(h, args, 2, head)
-        a, b = (_interpret(x, logic) for x in args)
-        return Or(Not(a), b)
-    if logic.sugar and h == "iff":
-        _expect_arity(h, args, 2, head)
-        a, b = (_interpret(x, logic) for x in args)
-        return And(Or(Not(a), b), Or(Not(b), a))
-    if h in logic.special_forms:
-        return logic.special_forms[h](args, lambda n: _interpret(n, logic), head)
-    sig = logic.connectives.get(h)
-    if sig is not None:
-        _expect_arity(h, args, sig.rank, head)
-        parsed = tuple(_interpret(a, logic) for a in args)
-        _check_domain(sig, parsed, logic, head)
-        return App(sig, parsed)
-    if logic.compound_form is not None:
-        result = logic.compound_form(h, args, head)
-        if result is not None:
-            return result
-    raise UnknownSymbolError(f"unknown connective {h!r}", head.line, head.col)
+def _imp(a: Formula, b: Formula) -> Formula:
+    return Or(Not(a), b)
+
+
+def _iff(a: Formula, b: Formula) -> Formula:
+    return And(Or(Not(a), b), Or(Not(b), a))
+
+
+def _interpret(root, logic: LogicDef) -> Formula:
+    """Interpret a read node, driven by an explicit stack.
+
+    Nodes are visited in the order of a left-to-right recursive descent,
+    and each check (arity before the arguments, domain after them) runs
+    at the same point of that order, so the first error raised is the
+    one the descent would raise.  A pending application sits on ``todo``
+    as ``(build, n)`` until its ``n`` arguments are on ``done``.  Bare
+    tokens are interpreted once per text; equal leaves share one node.
+    """
+    builtins = {}
+    if logic.sugar:
+        builtins.update(imp=(_imp, 2), iff=(_iff, 2))
+    builtins.update({logic.spell_or: (Or, 2), logic.spell_and: (And, 2),
+                     logic.spell_not: (Not, 1)})
+    leaves: dict[str, Formula] = {}
+    done: list[Formula] = []
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is _Token:
+            f = leaves.get(node.text)
+            if f is None:
+                f = leaves[node.text] = _interpret_token(node, logic)
+            done.append(f)
+            continue
+        if kind is tuple:
+            build, n = node
+            args = done[-n:]
+            del done[-n:]
+            done.append(build(*args))
+            continue
+        if len(node) == 1:
+            raise ParseError("empty expression", *_node_pos(node))
+        head = node[1]
+        if type(head) is list:
+            raise ParseError("expected a connective name", *_node_pos(head))
+        h = head.text
+        args = node[2:]
+        builtin = builtins.get(h)
+        if builtin is not None:
+            build, rank = builtin
+        elif h in logic.special_forms:
+            done.append(logic.special_forms[h](args, lambda n: _interpret(n, logic), head))
+            continue
+        else:
+            sig = logic.connectives.get(h)
+            if sig is None:
+                result = None
+                if logic.compound_form is not None:
+                    result = logic.compound_form(h, args, head)
+                if result is None:
+                    raise UnknownSymbolError(f"unknown connective {h!r}", head.line, head.col)
+                done.append(result)
+                continue
+            build, rank = partial(_app, sig, logic, head), sig.rank
+        _expect_arity(h, args, rank, head)
+        todo.append((build, rank))
+        todo.extend(reversed(args))
+    return done[0]
+
+
+def _app(sig: ConnectiveSig, logic: LogicDef, head: _Token, *args: Formula) -> Formula:
+    _check_domain(sig, args, logic, head)
+    return App(sig, args)
 
 
 def _interpret_token(tok: _Token, logic: LogicDef) -> Formula:

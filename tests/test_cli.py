@@ -154,3 +154,18 @@ def test_determinism_two_runs(capsys):
         _, out1, _ = run(capsys, *argv)
         _, out2, _ = run(capsys, *argv)
         assert out1 == out2
+
+
+def test_resource_errors_exit_one(capsys):
+    deep = "(not " * 2000 + "p" + ")" * 2000
+    argvs = [
+        ["count", "--logic", "modal-k", "--X", "p", "--k", "3000"],
+        ["parse", "--logic", "prop", deep],
+        ["count", "--logic", "gf", "--X", "(R u v)", "--k", "2"],
+        ["verify", "--logic", "gf", "(ex (u) (R u v) (ex (v) (R v u) (R v v)))"],
+    ]
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        assert code == 1, argv[:3]
+        assert err.startswith("error:") and "Traceback" not in err
+        assert out == ""

@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
 from addnf import (
     CapExceeded,
+    ConnectiveSig,
+    DomainSystem,
     Generator,
     NotLargeEnough,
     count,
@@ -171,3 +175,74 @@ def test_astronomical_count_is_exact(modal_inst):
     dia = modal_inst.diamonds[0]
     n = count(Generator(3, {"p"}, {dia}, modal_inst.domain.points), modal_inst.domain)
     assert n == 2 * 2 ** 512
+
+
+def _recursive_log2(gen, ds):
+    """log2 of the count, from the degree recurrence solved top-down as it
+    is written; inf once the exponent is past 2**64."""
+    nt = len(ds.tilde(gen.X, gen.E))
+    if gen.k == 0:
+        return nt
+    compatible = [c for c in gen.sorted_conns() if ds.compatible(c, gen.X, gen.E)]
+    if compatible:
+        terms = [
+            _recursive_log2(Generator(gen.k - 1, gen.X, gen.Y, ds.j2_of(c)), ds) * c.rank
+            for c in compatible
+        ]
+    else:
+        terms = [_recursive_log2(Generator(gen.k - 1, gen.X, gen.Y, gen.E), ds)]
+    if max(terms) > 64:
+        return math.inf
+    return nt + sum(1 << t for t in terms)
+
+
+def test_count_agrees_with_recurrence(gf_r):
+    ds = gf_r.domain
+    uv, vv = gf_r.atom("R", "u", "v"), gf_r.atom("R", "v", "v")
+    some = frozenset(gf_r.quantifier(b, a) for a, b in [(uv, ("u",)), (vv, ()), (uv, ())])
+    every = frozenset(gf_r.connectives.values())
+    overflows = 0
+    for X in ({vv}, {uv, vv}):
+        for Y in (frozenset(), some, every):
+            for E in ({"v"}, {"u", "v"}):
+                if not ds.large_enough(X, E):
+                    continue
+                for k in range(4):
+                    gen = Generator(k, X, Y, E)
+                    want = _recursive_log2(gen, ds)
+                    if want > 2 ** 26:
+                        overflows += 1
+                        with pytest.raises(CapExceeded):
+                            count(gen, ds)
+                    else:
+                        assert count(gen, ds) == 1 << want, gen.key
+    assert overflows
+
+
+def test_count_stops_at_first_overflowing_degree(modal_inst):
+    dia = modal_inst.diamonds[0]
+    v = modal_inst.domain.points
+    with pytest.raises(CapExceeded) as e:
+        count(Generator(3000, {"p"}, {dia}, v), modal_inst.domain)
+    assert str(e.value).startswith("space (4, ('p',)")
+    with pytest.raises(CapExceeded):
+        count(Generator(10 ** 30, {"p"}, {dia}, v), modal_inst.domain)
+
+
+def test_count_visits_only_the_areas_each_degree_reaches():
+    # From E={a} only "in" is compatible, and it leads to {a, b}, where the
+    # rank-3 "wide" is compatible too: {a, b} overflows at degree 2, but
+    # the degree-2 space over {a} only reaches {a, b} at degree 1.
+    ds = DomainSystem(
+        points={"a", "b"},
+        iota_atomic={"p": {"a"}},
+        j1={"in": {"b"}, "wide": set()},
+        j2={"in": {"a", "b"}, "wide": {"a", "b"}},
+    )
+    Y = {ConnectiveSig("in", 1), ConnectiveSig("wide", 3)}
+    assert count(Generator(1, {"p"}, Y, {"a", "b"}), ds) == 2 ** 11
+    assert count(Generator(2, {"p"}, Y, {"a"}), ds) == 2 ** 2049
+    assert _recursive_log2(Generator(2, {"p"}, Y, {"a"}), ds) == 2049
+    with pytest.raises(CapExceeded) as e:
+        count(Generator(3, {"p"}, Y, {"a"}), ds)
+    assert str(e.value).startswith("space (2, ('p',), ('in', 'wide'), ('a', 'b'))")

@@ -189,3 +189,56 @@ def test_validate_domains(gf_rs):
     bad = App(sig, (Prop("(S v)"),))  # built behind the parser's back
     with pytest.raises(DomainViolation):
         validate_domains(bad, gf_rs.domain)
+
+
+def _token_count(text):
+    return len(text.replace("(", " ( ").replace(")", " ) ").split())
+
+
+def test_long_one_line_round_trip(prop_inst):
+    leaves = [Prop(f"p{i}") if i % 3 else Not(Prop(f"p{i}")) for i in range(24000)]
+    f = disj_all([conj_all(leaves[i:i + 4]) for i in range(0, len(leaves), 4)])
+    text = render_formula(f, prop_inst.logic)
+    assert "\n" not in text and _token_count(text) >= 100_000
+    g = parse_formula(text, prop_inst.logic)
+    assert render_formula(g, prop_inst.logic) == text
+    assert g == f
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(and (bogus p)\n  q)", "unknown connective 'bogus' (at 1:7)"),
+        ("(or p q) r\n\n", "unexpected trailing input (at 1:10)"),
+        ("(and\n  p\n  (not q r))", "'not' takes 1 argument(s), got 2 (at 3:4)"),
+        ("(and p\n  q)\n   extra", "unexpected trailing input (at 3:4)"),
+        ("\n\n  (or p", "missing ')' (at 3:3)"),
+    ],
+)
+def test_error_line_and_column(prop_inst, text, message):
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, prop_inst.logic)
+    assert str(e.value) == message
+    line, col = message.rsplit("at ", 1)[1].rstrip(")").split(":")
+    assert (e.value.line, e.value.column) == (int(line), int(col))
+
+
+def test_error_position_at_end_of_long_line(prop_inst):
+    body = render_formula(conj_all([Prop("q")] * 20000), prop_inst.logic)
+    assert len(body) >= 100_000
+    with pytest.raises(UnknownSymbolError) as e:
+        parse_formula(f"(and\n{body} %)", prop_inst.logic)
+    assert str(e.value) == f"unknown proposition '%' (at 2:{len(body) + 2})"
+    with pytest.raises(ParseError) as e:
+        parse_formula(f"{body} )", prop_inst.logic)
+    assert str(e.value) == f"unexpected trailing input (at 1:{len(body) + 2})"
+    assert (e.value.line, e.value.column) == (1, len(body) + 2)
+
+
+def test_deep_nesting_parses_without_recursion(prop_inst):
+    n = 100_000
+    f = parse_formula("(not " * n + "p" + ")" * n, prop_inst.logic)
+    length = 0
+    while isinstance(f, Not):
+        f, length = f.child, length + 1
+    assert length == n and f == Prop("p")
