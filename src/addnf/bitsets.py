@@ -8,17 +8,19 @@ from __future__ import annotations
 import sys
 
 
-def zero_bit_pattern(count: int, bit_exp: int) -> int:
+def zero_bit_pattern(count: int, bit_exp: int, stride: int = 1) -> int:
     """Mask over range(count) of the integers whose bit ``bit_exp`` is 0.
 
-    ``count`` must be a power of two with ``2**bit_exp < count`` or equal
-    halves; built by repeated doubling, so cost is logarithmic in count.
+    With ``stride`` > 1, integer i owns bits ``i*stride ..`` and only the
+    lowest of them is set.  ``count`` must be a power of two with
+    ``2**bit_exp < count`` or equal halves; built by repeated doubling, so
+    cost is logarithmic in count.
     """
     half = 1 << bit_exp
-    x = (1 << half) - 1
+    x = ((1 << (half * stride)) - 1) // ((1 << stride) - 1)
     span = half << 1
     while span < count:
-        x |= x << span
+        x |= x << (span * stride)
         span <<= 1
     return x
 
@@ -36,14 +38,3 @@ def too_long_to_print(n: int) -> bool:
     (``sys.get_int_max_str_digits()``) and raise ValueError."""
     limit = sys.get_int_max_str_digits()
     return bool(limit) and n >= 10 ** limit
-
-
-def int_text(n: int) -> str:
-    """``n`` in decimal, or its power-of-two floor when that is too long."""
-    if too_long_to_print(n):
-        return f"2**{n.bit_length() - 1} or more"
-    return str(n)
-
-
-def bit_count(mask: int) -> int:
-    return bin(mask).count("1")

@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .bitsets import int_text, zero_bit_pattern
+from .bitsets import zero_bit_pattern
 from .domain_system import DomainSystem, Generator
 from .errors import CapExceeded, EngineError, NotLargeEnough
 from .syntax import And, App, ConnectiveSig, Formula, Not, Prop, conj_all
@@ -381,28 +381,33 @@ def partition_check(sp: ConstituentSpace, oracle, bound: int,
     contradiction.  Exact when the oracle is exact, otherwise a bounded
     search; the report carries the first counterexample found.
     """
-    est = oracle.estimate_contexts(sp.gen, bound)
-    if est * sp.size > budget:
+    limit = budget // sp.size
+    if oracle.estimate_contexts(sp.gen, bound, limit) > limit:
         raise CapExceeded(
-            f"partition check over {sp.size} members x {int_text(est)} models "
+            f"partition check over {sp.size} members x more than {limit} models "
             f"exceeds the budget {budget}"
         )
-    checked = 0
-    for ctx in oracle.contexts(sp.gen, bound):
-        checked += 1
-        masks = [ctx.eval(sp.formula(i)) for i in range(sp.size)]
-        for point in range(ctx.points):
-            bit = 1 << point
-            trues = [i for i, m in enumerate(masks) if m & bit]
-            if len(trues) != 1:
-                return PartitionReport(
-                    ok=False,
-                    exact=oracle.exact,
-                    contexts=checked,
-                    counterexample={
-                        "context": ctx.describe(),
-                        "point": ctx.point_desc(point),
-                        "members_true": trues,
-                    },
-                )
-    return PartitionReport(ok=True, exact=oracle.exact, contexts=checked)
+    members = [sp.formula(i) for i in range(sp.size)]
+
+    def gaps_and_overlaps(block) -> int:
+        seen = twice = 0
+        for g in members:
+            m = block.eval(g)
+            twice |= seen & m
+            seen |= m
+        return twice | (block.full ^ seen)
+
+    checked, (fail,) = oracle.first_failures(sp.gen, bound, [gaps_and_overlaps])
+    if fail is None:
+        return PartitionReport(ok=True, exact=oracle.exact, contexts=checked)
+    ctx, point = fail.context, fail.point
+    return PartitionReport(
+        ok=False,
+        exact=oracle.exact,
+        contexts=fail.contexts,
+        counterexample={
+            "context": ctx.describe(),
+            "point": ctx.point_desc(point),
+            "members_true": [i for i, g in enumerate(members) if ctx.eval(g) >> point & 1],
+        },
+    )

@@ -78,16 +78,38 @@ class DomainSystem:
             raise EngineError(f"connective {conn.key!r} has no j1/j2 entries") from None
 
     def iota(self, f: Formula) -> frozenset[str]:
-        """Extend iota to arbitrary formulas."""
-        if isinstance(f, Prop):
+        """Extend iota to arbitrary formulas.
+
+        The union of the footprints of the propositions and applications
+        reached through the boolean connectives, visited left to right
+        from an explicit stack, each shared node once.
+        """
+        while isinstance(f, Not):
+            f = f.child
+        if isinstance(f, Prop):  # most domain checks end here, without sets
             return self.iota_prop(f.name)
-        if isinstance(f, Not):
-            return self.iota(f.child)
-        if isinstance(f, (And, Or)):
-            return self.iota(f.left) | self.iota(f.right)
         if isinstance(f, App):
             return self.j2_of(f.conn) - self.j1_of(f.conn)
-        raise TypeError(f"not a formula: {f!r}")
+        out: set[str] = set()
+        seen: set[int] = set()
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if id(g) in seen:
+                continue
+            seen.add(id(g))
+            if isinstance(g, Prop):
+                out |= self.iota_prop(g.name)
+            elif isinstance(g, Not):
+                stack.append(g.child)
+            elif isinstance(g, (And, Or)):
+                stack.append(g.right)
+                stack.append(g.left)
+            elif isinstance(g, App):
+                out |= self.j2_of(g.conn) - self.j1_of(g.conn)
+            else:
+                raise TypeError(f"not a formula: {g!r}")
+        return frozenset(out)
 
     # -- domains ------------------------------------------------------------
 

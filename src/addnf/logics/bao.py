@@ -86,14 +86,8 @@ class ComplexAlgebraOracle(Oracle):
                     values = dict(zip(symbols, vals))
                     yield _AlgebraContext(size, relations, values)
 
-    def estimate_contexts(self, gen: Generator, bound: int) -> int:
-        total = 0
-        for size in range(1, bound + 1):
-            n = 1 << (size * len(gen.X))
-            for op in gen.Y:
-                n *= 1 << (size ** (op.rank + 1))
-            total += n
-        return total
+    def model_bits(self, gen: Generator, size: int) -> int:
+        return size * len(gen.X) + sum(size ** (op.rank + 1) for op in gen.Y)
 
     def check_equal(self, lhs: Formula, rhs: Formula, bound: int,
                     gen: Generator | None = None) -> OracleReport:
@@ -101,23 +95,23 @@ class ComplexAlgebraOracle(Oracle):
         if gen is None:
             g1, g2 = self.vocab_for(lhs), self.vocab_for(rhs)
             gen = Generator(0, g1.X | g2.X, g1.Y | g2.Y, frozenset())
-        checked = 0
-        for ctx in self.contexts(gen, bound):
-            checked += 1
-            m1, m2 = ctx.eval(lhs), ctx.eval(rhs)
-            if m1 != m2:
-                return OracleReport(
-                    ok=False,
-                    exact=self.exact,
-                    contexts=checked,
-                    bound=bound,
-                    countermodel={
-                        "context": ctx.describe(),
-                        "lhs_value": mask_to_list(m1),
-                        "rhs_value": mask_to_list(m2),
-                    },
-                )
-        return OracleReport(ok=True, exact=self.exact, contexts=checked, bound=bound)
+        checked, (fail,) = self.first_failures(
+            gen, bound, [lambda b: b.eval(lhs) ^ b.eval(rhs)]
+        )
+        if fail is None:
+            return OracleReport(ok=True, exact=self.exact, contexts=checked, bound=bound)
+        ctx = fail.context
+        return OracleReport(
+            ok=False,
+            exact=self.exact,
+            contexts=fail.contexts,
+            bound=bound,
+            countermodel={
+                "context": ctx.describe(),
+                "lhs_value": mask_to_list(ctx.eval(lhs)),
+                "rhs_value": mask_to_list(ctx.eval(rhs)),
+            },
+        )
 
 
 @dataclass

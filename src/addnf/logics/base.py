@@ -5,12 +5,22 @@ a bitmask over its evaluation points (truth-table rows, Kripke worlds,
 variable assignments, frame elements).  Validity means full mask in every
 context.  All searches are exhaustive up to a size bound and guarded by a
 case budget; only the propositional oracle is exact.
+
+Checks run over *blocks*: consecutive models, in the order ``contexts``
+enumerates them, evaluated together as one context.  Model ``i`` of a
+block owns the mask bits ``i*points`` to ``i*points + points - 1``, with
+point ``w`` at bit ``i*points + w``, so one mask operation serves every
+model of the block and the lowest set bit of a failure mask is the first
+failing model and point.  A plain context is a one-model block, and that
+is what ``Oracle.blocks`` yields unless an oracle packs its models (the
+Kripke oracle does; see ``modal``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..bitsets import int_text, iter_bits
+from ..bitsets import iter_bits
 from ..domain_system import Generator
 from ..errors import BudgetExceeded
 from ..syntax import And, App, Formula, Not, Or, Prop, vocabulary
@@ -38,10 +48,15 @@ class OracleReport:
 
 
 class Context:
-    """One model: evaluates formulas to masks over its points, memoized."""
+    """One model: evaluates formulas to masks over its points, memoized.
+
+    Seen as a block it holds one model; block subclasses set ``models``
+    and give ``points`` per model.
+    """
 
     points: int
     full: int
+    models = 1
 
     def __init__(self):
         self._memo: dict[int, tuple] = {}
@@ -80,6 +95,18 @@ class Context:
     def point_desc(self, point: int):
         return point
 
+    def model(self, i: int) -> "Context":
+        """Model ``i`` of this block as a context of its own."""
+        return self
+
+
+class Failure(NamedTuple):
+    """The first failing model of a check and the point it fails at."""
+
+    contexts: int  # models checked up to and including this one
+    context: Context
+    point: int
+
 
 class Oracle:
     """Base bounded-model oracle; subclasses enumerate their contexts."""
@@ -92,15 +119,58 @@ class Oracle:
     def contexts(self, gen: Generator, bound: int):
         raise NotImplementedError
 
-    def estimate_contexts(self, gen: Generator, bound: int) -> int:
+    def blocks(self, gen: Generator, bound: int):
+        """The models up to ``bound`` as blocks, in ``contexts`` order."""
+        return self.contexts(gen, bound)
+
+    def model_bits(self, gen: Generator, size: int) -> int:
+        """log2 of the number of models of one size."""
         raise NotImplementedError
 
+    def estimate_contexts(self, gen: Generator, bound: int, limit: int) -> int:
+        """The number of models up to ``bound``, or ``limit + 1`` once it
+        passes ``limit``.  Each size's count is a power of two and is
+        compared by its exponent before it is built."""
+        total = 0
+        for size in range(1, bound + 1):
+            bits = self.model_bits(gen, size)
+            if bits >= limit.bit_length():
+                return limit + 1
+            total += 1 << bits
+            if total > limit:
+                return limit + 1
+        return total
+
     def guard(self, gen: Generator, bound: int) -> None:
-        est = self.estimate_contexts(gen, bound)
-        if est > self.budget:
+        if self.estimate_contexts(gen, bound, self.budget) > self.budget:
             raise BudgetExceeded(
-                f"{int_text(est)} models at bound {bound} exceed the budget {self.budget}"
+                f"more than {self.budget} models at bound {bound} exceed the budget "
+                f"{self.budget}"
             )
+
+    def first_failures(self, gen: Generator, bound: int, checks) -> tuple[int, list]:
+        """Run every check over every model up to ``bound``.
+
+        A check maps a block to the mask of its failing bits and is not run
+        again once it has failed.  Returns the number of models enumerated
+        and, per check, its ``Failure`` or None.
+        """
+        failures: list[Failure | None] = [None] * len(checks)
+        left = len(checks)
+        done = 0
+        for block in self.blocks(gen, bound):
+            for j, check in enumerate(checks):
+                if failures[j] is not None:
+                    continue
+                bad = check(block)
+                if bad:
+                    i, point = divmod((bad & -bad).bit_length() - 1, block.points)
+                    failures[j] = Failure(done + i + 1, block.model(i), point)
+                    left -= 1
+            done += block.models
+            if not left:
+                break
+        return done, failures
 
     def vocab_for(self, f: Formula) -> Generator:
         props, conns = vocabulary(f)
@@ -114,20 +184,17 @@ class Oracle:
         """Is ``f`` true at every point of every model up to ``bound``?"""
         if gen is None:
             gen = self.vocab_for(f)
-        checked = 0
-        for ctx in self.contexts(gen, bound):
-            checked += 1
-            m = ctx.eval(f)
-            if m != ctx.full:
-                point = next(iter_bits(ctx.full ^ m))
-                return OracleReport(
-                    ok=False,
-                    exact=self.exact,
-                    contexts=checked,
-                    bound=bound,
-                    countermodel={"context": ctx.describe(), "point": ctx.point_desc(point)},
-                )
-        return OracleReport(ok=True, exact=self.exact, contexts=checked, bound=bound)
+        checked, (fail,) = self.first_failures(gen, bound, [lambda b: b.full ^ b.eval(f)])
+        if fail is None:
+            return OracleReport(ok=True, exact=self.exact, contexts=checked, bound=bound)
+        ctx = fail.context
+        return OracleReport(
+            ok=False,
+            exact=self.exact,
+            contexts=fail.contexts,
+            bound=bound,
+            countermodel={"context": ctx.describe(), "point": ctx.point_desc(fail.point)},
+        )
 
 
 def split_relation_code(code: int, worlds: int) -> tuple[int, ...]:

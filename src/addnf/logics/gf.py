@@ -333,14 +333,8 @@ class GFOracle(Oracle):
                     )
                 yield _FOContext(size, interp, assign_vars, self.inst)
 
-    def estimate_contexts(self, gen: Generator, bound: int) -> int:
-        total = 0
-        for size in range(1, bound + 1):
-            n = 1
-            for arity in self.inst.relations.values():
-                n *= 1 << (size ** arity)
-            total += n
-        return total
+    def model_bits(self, gen: Generator, size: int) -> int:
+        return sum(size ** arity for arity in self.inst.relations.values())
 
 
 def fo_oracle(inst: GFInstance, f: Formula, bound: int = 3) -> OracleReport:

@@ -50,7 +50,7 @@ class TruthTableOracle(Oracle):
         self.guard(gen, bound)
         yield _TruthTableContext(tuple(sorted(gen.X)))
 
-    def estimate_contexts(self, gen: Generator, bound: int) -> int:
+    def estimate_contexts(self, gen: Generator, bound: int, limit: int) -> int:
         return 1
 
     def guard(self, gen: Generator, bound: int) -> None:

@@ -155,73 +155,53 @@ def verify(f: Formula, result: NormalizationResult, oracle, bound: int = 3) -> V
     """Search for a model point separating ``f`` from its disjunction.
 
     Exact for exact oracles, refutation-complete only up to ``bound``
-    otherwise.  The disjunction is evaluated member by member (disjunction
-    of truths equals truth of the disjunction).
+    otherwise.  A one-item ``verify_many``.
     """
-    sp = result.space
-    sigma = sorted(result.sigma)
-    checked = 0
-    for ctx in oracle.contexts(sp.gen, bound):
-        checked += 1
-        fm = ctx.eval(f)
-        dm = 0
-        for i in sigma:
-            dm |= ctx.eval(sp.formula(i))
-            if dm == ctx.full:
-                break
-        if fm != dm:
-            point = next(iter_bits(fm ^ dm))
-            return VerifyReport(
-                ok=False,
-                exact=oracle.exact,
-                contexts=checked,
-                bound=bound,
-                countermodel={
-                    "context": ctx.describe(),
-                    "point": ctx.point_desc(point),
-                    "formula_holds": bool(fm >> point & 1),
-                    "disjunction_holds": bool(dm >> point & 1),
-                },
-            )
-    return VerifyReport(ok=True, exact=oracle.exact, contexts=checked, bound=bound)
+    return verify_many(result.space, [(f, result.sigma)], oracle, bound)[0]
 
 
 def verify_many(sp: ConstituentSpace, items, oracle, bound: int = 3) -> list[VerifyReport]:
-    """Batch form of ``verify`` for many (formula, sigma) pairs on one space.
+    """``verify`` for many (formula, sigma) pairs on one space.
 
-    Member truths are computed once per model and shared across the batch,
-    which is what makes large randomized suites affordable.
+    Each block of models is evaluated once for the whole batch: the
+    block's memo shares member masks across the items, and the
+    disjunction is evaluated member by member (disjunction of truths
+    equals truth of the disjunction).
     """
-    items = [(f, frozenset(sigma)) for f, sigma in items]
-    failures: dict[int, VerifyReport] = {}
-    checked = 0
-    for ctx in oracle.contexts(sp.gen, bound):
-        checked += 1
-        masks = [ctx.eval(sp.formula(i)) for i in range(sp.size)]
-        true_at = [
-            frozenset(i for i, m in enumerate(masks) if m >> point & 1)
-            for point in range(ctx.points)
-        ]
-        for j, (f, sigma) in enumerate(items):
-            if j in failures:
-                continue
-            fm = ctx.eval(f)
-            for point in range(ctx.points):
-                holds_f = bool(fm >> point & 1)
-                holds_d = not true_at[point].isdisjoint(sigma)
-                if holds_f != holds_d:
-                    failures[j] = VerifyReport(
-                        ok=False,
-                        exact=oracle.exact,
-                        contexts=checked,
-                        bound=bound,
-                        countermodel={
-                            "context": ctx.describe(),
-                            "point": ctx.point_desc(point),
-                            "formula_holds": holds_f,
-                            "disjunction_holds": holds_d,
-                        },
-                    )
-                    break
+    items = list(items)
+    checks = [_differs(f, [sp.formula(i) for i in sorted(sigma)]) for f, sigma in items]
+    checked, failures = oracle.first_failures(sp.gen, bound, checks)
     ok = VerifyReport(ok=True, exact=oracle.exact, contexts=checked, bound=bound)
-    return [failures.get(j, ok) for j in range(len(items))]
+    reports = []
+    for (f, _), fail in zip(items, failures):
+        if fail is None:
+            reports.append(ok)
+            continue
+        ctx, point = fail.context, fail.point
+        holds = bool(ctx.eval(f) >> point & 1)
+        reports.append(VerifyReport(
+            ok=False,
+            exact=oracle.exact,
+            contexts=fail.contexts,
+            bound=bound,
+            countermodel={
+                "context": ctx.describe(),
+                "point": ctx.point_desc(point),
+                "formula_holds": holds,
+                "disjunction_holds": not holds,
+            },
+        ))
+    return reports
+
+
+def _differs(f: Formula, members: list[Formula]):
+    """Check: the points of a block where ``f`` and the disjunction of
+    ``members`` differ."""
+    def check(block) -> int:
+        dm = 0
+        for g in members:
+            dm |= block.eval(g)
+            if dm == block.full:
+                break
+        return block.eval(f) ^ dm
+    return check

@@ -147,3 +147,81 @@ def random_gf_case(rng, inst, d=1, size=8):
     bound = tuple(sorted(rng.sample(gvars, rng.randint(0, len(gvars)))))
     quants = [(bound, guard)]
     return random_gf_formula(rng, inst, d, size, frozenset(inst.variables), pool, quants)
+
+
+# -- per-model reference loops -------------------------------------------------
+#
+# The oracle checks run over blocks of packed models; these loops take one
+# model context at a time from ``oracle.contexts`` and return what each
+# report's ``to_json()`` must be.
+
+
+def _lowest_bit(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
+
+
+def per_model_verify_many(sp, items, oracle, bound):
+    items = [(f, frozenset(sigma)) for f, sigma in items]
+    docs = {}
+    checked = 0
+    for ctx in oracle.contexts(sp.gen, bound):
+        checked += 1
+        masks = [ctx.eval(sp.formula(i)) for i in range(sp.size)]
+        for j, (f, sigma) in enumerate(items):
+            if j in docs:
+                continue
+            fm, dm = ctx.eval(f), 0
+            for i in sigma:
+                dm |= masks[i]
+            if fm != dm:
+                point = _lowest_bit(fm ^ dm)
+                docs[j] = {
+                    "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
+                    "countermodel": {
+                        "context": ctx.describe(),
+                        "point": ctx.point_desc(point),
+                        "formula_holds": bool(fm >> point & 1),
+                        "disjunction_holds": bool(dm >> point & 1),
+                    },
+                }
+        if len(docs) == len(items):
+            break
+    ok = {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
+          "countermodel": None}
+    return [docs.get(j, ok) for j in range(len(items))]
+
+
+def per_model_partition_check(sp, oracle, bound):
+    checked = 0
+    for ctx in oracle.contexts(sp.gen, bound):
+        checked += 1
+        masks = [ctx.eval(sp.formula(i)) for i in range(sp.size)]
+        for point in range(ctx.points):
+            trues = [i for i, m in enumerate(masks) if m >> point & 1]
+            if len(trues) != 1:
+                return {
+                    "ok": False, "exact": oracle.exact, "contexts": checked,
+                    "counterexample": {
+                        "context": ctx.describe(),
+                        "point": ctx.point_desc(point),
+                        "members_true": trues,
+                    },
+                }
+    return {"ok": True, "exact": oracle.exact, "contexts": checked, "counterexample": None}
+
+
+def per_model_check_valid(oracle, f, bound, gen):
+    checked = 0
+    for ctx in oracle.contexts(gen, bound):
+        checked += 1
+        m = ctx.eval(f)
+        if m != ctx.full:
+            return {
+                "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
+                "countermodel": {
+                    "context": ctx.describe(),
+                    "point": ctx.point_desc(_lowest_bit(ctx.full ^ m)),
+                },
+            }
+    return {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
+            "countermodel": None}

@@ -1,4 +1,5 @@
 import json
+import time
 
 from addnf.cli import main
 
@@ -169,3 +170,22 @@ def test_resource_errors_exit_one(capsys):
         assert code == 1, argv[:3]
         assert err.startswith("error:") and "Traceback" not in err
         assert out == ""
+
+
+def test_huge_bound_fails_the_budget_fast(capsys):
+    # The budget is decided from each size's exponent; the model count at
+    # this bound would take gigabytes to build.
+    argvs = [
+        ["verify", "--logic", "modal-k", "--bound", "100000", "(dia p)"],
+        ["verify", "--logic", "gf", "--bound", "100000", "(ex (u) (R u v) (R u v))"],
+        ["verify", "--logic", "bao", "--bound", "100000", "(f (plus x (minus x)))"],
+        ["partition-check", "--logic", "modal-k", "--X", "p", "--k", "1",
+         "--bound", "100000"],
+    ]
+    for argv in argvs:
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - t0 < 1.0, argv[:3]
+        assert code == 1 and out == "", argv[:3]
+        assert err.startswith("error: ") and "exceed" in err and "the budget" in err
+        assert "Traceback" not in err

@@ -242,3 +242,11 @@ def test_deep_nesting_parses_without_recursion(prop_inst):
     while isinstance(f, Not):
         f, length = f.child, length + 1
     assert length == n and f == Prop("p")
+
+
+def test_deep_argument_of_a_connective_parses(modal_inst):
+    # The domain check of (dia ...) takes iota of the whole argument.
+    n = 2000
+    f = parse_formula("(dia " + "(not " * n + "p" + ")" * n + ")", modal_inst.logic)
+    assert isinstance(f, App) and f.conn == modal_inst.diamonds[0]
+    assert modal_inst.domain.iota(f.args[0]) == modal_inst.domain.points
