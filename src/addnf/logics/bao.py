@@ -11,80 +11,72 @@ operator is the existential image of an (h+1)-ary relation, a constant an
 arbitrary subset.  Complex algebras belong to the class, so a
 counterexample refutes an equation soundly; the search is not complete
 for validity and is documented as a bounded check.
+
+Algebras of one frame size are numbered in the order
+``ComplexAlgebraOracle.contexts`` enumerates them.  Read in binary, from
+the low bit up, the ordinal holds each symbol's value (a frame-size
+field, the last sorted symbol lowest), then each operator's relation
+code (the last sorted operator lowest; bit j of the code is tuple j of
+``product(range(size), repeat=rank + 1)``).  For rank 1 that is the
+Kripke layout, so blocks of algebras are evaluated by the shared
+``RelationalBlock`` (see ``base``).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from ..domain_system import DomainSystem, Generator
 from ..errors import EngineError
 from ..syntax import And, ConnectiveSig, Formula, LogicDef, Not, Or, Prop, render_formula
-from .base import DEFAULT_BUDGET, Context, Oracle, OracleReport, mask_to_list
+from .base import (
+    DEFAULT_BUDGET,
+    OracleReport,
+    PackedOracle,
+    RelationalBlock,
+    Where,
+    mask_to_list,
+    stacked,
+)
 
 POINT = "*"
 
 
-class _AlgebraContext(Context):
-    def __init__(self, size: int, relations: dict[str, tuple], values: dict[str, int]):
-        super().__init__()
-        self.points = size
-        self.full = (1 << size) - 1
-        self.relations = relations
-        self.values = values
-
-    def prop_mask(self, name: str) -> int:
-        try:
-            return self.values[name]
-        except KeyError:
-            raise EngineError(f"symbol {name!r} has no value in this algebra")
-
-    def app_mask(self, conn, arg_masks) -> int:
-        out = 0
-        for head, *rest in self.relations[conn.key]:
-            if all(arg_masks[j] >> w & 1 for j, w in enumerate(rest)):
-                out |= 1 << head
-        return out
+class _AlgebraBlock(RelationalBlock):
+    missing = "symbol {!r} has no value in this algebra"
 
     def describe(self) -> dict:
+        where = self.layout.where
         return {
             "kind": "complex-algebra",
             "frame_size": self.points,
-            "relations": {k: sorted(map(list, r)) for k, r in sorted(self.relations.items())},
-            "values": {k: mask_to_list(v) for k, v in sorted(self.values.items())},
+            "relations": where.tuples(self.start),
+            "values": where.values(self.start),
         }
 
     def point_desc(self, point: int) -> dict:
         return {"element": point}
 
 
-class ComplexAlgebraOracle(Oracle):
+class ComplexAlgebraOracle(PackedOracle):
     """Counterexample search over complex algebras of frames up to the bound."""
 
     exact = False
+    block_type = _AlgebraBlock
 
     def __init__(self, constants, budget: int = DEFAULT_BUDGET):
         super().__init__(budget)
         self.constants = frozenset(constants)
 
-    def contexts(self, gen: Generator, bound: int):
-        self.guard(gen, bound)
-        ops = gen.sorted_conns()
+    def where(self, gen: Generator, size: int) -> Where:
         symbols = sorted(gen.X)
-        for size in range(1, bound + 1):
-            rel_spaces = [
-                list(itertools.product(range(size), repeat=op.rank + 1)) for op in ops
-            ]
-            rel_ranges = [range(1 << len(tuples)) for tuples in rel_spaces]
-            val_ranges = [range(1 << size) for _ in symbols]
-            for codes in itertools.product(*rel_ranges):
-                relations = {
-                    op.key: tuple(t for j, t in enumerate(tuples) if code >> j & 1)
-                    for op, tuples, code in zip(ops, rel_spaces, codes)
-                }
-                for vals in itertools.product(*val_ranges):
-                    values = dict(zip(symbols, vals))
-                    yield _AlgebraContext(size, relations, values)
+        ops = gen.sorted_conns()
+        values = stacked(0, [size] * len(symbols))
+        codes = stacked(size * len(symbols), [size ** (op.rank + 1) for op in ops])
+        return Where(
+            size, size,
+            dict(zip(symbols, values)),
+            {op.key: (off, op.rank + 1) for op, off in zip(ops, codes)},
+        )
 
     def model_bits(self, gen: Generator, size: int) -> int:
         return size * len(gen.X) + sum(size ** (op.rank + 1) for op in gen.Y)

@@ -11,22 +11,36 @@ enumerates them, evaluated together as one context.  Model ``i`` of a
 block owns the mask bits ``i*points`` to ``i*points + points - 1``, with
 point ``w`` at bit ``i*points + w``, so one mask operation serves every
 model of the block and the lowest set bit of a failure mask is the first
-failing model and point.  A plain context is a one-model block, and that
-is what ``Oracle.blocks`` yields unless an oracle packs its models (the
-Kripke oracle does; see ``modal``).
+failing model and point.
+
+The bounded oracles (Kripke, complex algebra, first-order) are
+``PackedOracle``s.  Their models of one size are numbered by an
+*ordinal*, the order of ``contexts``, whose bits are the model read in
+binary: each oracle states only where its valuation bits and relation
+codes sit.  Bit j of a relation code of arity a is tuple j of
+``itertools.product(range(size), repeat=a)``.  A block is an aligned run
+of at most ``BLOCK_MODELS`` ordinals, and "bit b of the ordinal", spread
+over the point slots, is periodic inside a block for the block's low bits
+and constant above them (``_BlockLayout``, built by doubling).  A plain
+context is a one-model block; the truth-table oracle has only that one.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from ..bitsets import iter_bits
+from ..bitsets import iter_bits, zero_bit_pattern
 from ..domain_system import Generator
-from ..errors import BudgetExceeded
+from ..errors import BudgetExceeded, EngineError
 from ..syntax import And, App, Formula, Not, Or, Prop, vocabulary
 
 DEFAULT_BOUND = 3
 DEFAULT_BUDGET = 2_000_000
+
+# Models per block at most; every model count is a power of two, so the
+# blocks of one size are aligned runs of equal length.
+BLOCK_MODELS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,7 @@ class Context:
         self._memo: dict[int, tuple] = {}
 
     def eval(self, f: Formula) -> int:
+        """The mask of ``f`` over the block's points, memoized."""
         key = id(f)
         hit = self._memo.get(key)
         if hit is not None and hit[0] is f:
@@ -70,17 +85,21 @@ class Context:
         self._memo[key] = (f, m)
         return m
 
+    # Subformulas are evaluated through this alias, so a subclass may check
+    # the formulas it is given by overriding ``eval`` alone.
+    _eval = eval
+
     def _compute(self, f: Formula) -> int:
         if isinstance(f, Prop):
             return self.prop_mask(f.name)
         if isinstance(f, Not):
-            return self.full ^ self.eval(f.child)
+            return self.full ^ self._eval(f.child)
         if isinstance(f, And):
-            return self.eval(f.left) & self.eval(f.right)
+            return self._eval(f.left) & self._eval(f.right)
         if isinstance(f, Or):
-            return self.eval(f.left) | self.eval(f.right)
+            return self._eval(f.left) | self._eval(f.right)
         if isinstance(f, App):
-            return self.app_mask(f.conn, [self.eval(a) for a in f.args])
+            return self.app_mask(f.conn, [self._eval(a) for a in f.args])
         raise TypeError(f"not a formula: {f!r}")
 
     def prop_mask(self, name: str) -> int:
@@ -197,14 +216,183 @@ class Oracle:
         )
 
 
-def split_relation_code(code: int, worlds: int) -> tuple[int, ...]:
-    """Decode a binary-relation code into per-world successor masks."""
-    ones = (1 << worlds) - 1
-    return tuple((code >> (w * worlds)) & ones for w in range(worlds))
+@dataclass
+class Where:
+    """Where an oracle's ordinal bits sit for its models of one size.
+
+    ``props[name]`` is the ordinal bit of the name's value at element 0
+    (element w at that bit + w); ``relations[key]`` is (lowest ordinal bit
+    of the relation's code, arity).  Both are in sorted key order.
+    """
+
+    size: int
+    points: int
+    props: dict[str, int]
+    relations: dict[str, tuple[int, int]]
+
+    def tuples(self, ordinal: int) -> dict[str, list[list[int]]]:
+        """Each relation of model ``ordinal`` as its tuples, in code order."""
+        out = {}
+        for key, (off, arity) in self.relations.items():
+            code = ordinal >> off
+            out[key] = [
+                list(t)
+                for j, t in enumerate(itertools.product(range(self.size), repeat=arity))
+                if code >> j & 1
+            ]
+        return out
+
+    def values(self, ordinal: int) -> dict[str, list[int]]:
+        """Each proposition's value in model ``ordinal`` as its elements."""
+        ones = (1 << self.size) - 1
+        return {p: mask_to_list(ordinal >> off & ones) for p, off in self.props.items()}
 
 
-def masks_to_pairs(rel: tuple[int, ...]) -> list[list[int]]:
-    return [[w, v] for w, succ in enumerate(rel) for v in iter_bits(succ)]
+def stacked(base: int, widths) -> list[int]:
+    """Lowest bits of consecutive fields of the given widths laid out from
+    bit ``base`` up, the last field lowest (``itertools.product`` order)."""
+    offsets = []
+    for width in reversed(widths):
+        offsets.append(base)
+        base += width
+    return offsets[::-1]
+
+
+class _BlockLayout:
+    """What every block of the models of one size shares."""
+
+    def __init__(self, where: Where, bits: int, models: int):
+        self.where = where
+        self.points = n = where.points
+        self.bits = bits
+        self.low = min(bits, models.bit_length() - 1)  # ordinal bits inside a block
+        self.models = 1 << self.low
+        self.count = 1 << bits
+        self.full = (1 << (self.models * n)) - 1
+        self.every = self.full // ((1 << n) - 1)  # point 0 of every model
+        # periodic[b]: point 0 of the models whose ordinal has bit b set
+        self.periodic = [
+            zero_bit_pattern(self.models, b, n) << (n << b) for b in range(self.low)
+        ]
+        self._single = self if self.models == 1 else None
+
+    def bit(self, b: int, start: int) -> int:
+        """Point 0 of the models of the block at ``start`` whose ordinal has bit b set."""
+        if b < self.low:
+            return self.periodic[b]
+        return self.every if start >> b & 1 else 0
+
+    def single(self) -> "_BlockLayout":
+        """The layout of one-model blocks of the same models."""
+        if self._single is None:
+            self._single = _BlockLayout(self.where, self.bits, 1)
+        return self._single
+
+
+class PackedOracle(Oracle):
+    """A bounded oracle whose checks run over packed blocks of models.
+
+    Subclasses state ``where`` their ordinal bits sit and the
+    ``block_type`` that evaluates a block (a ``Context`` built from a
+    layout and the block's first ordinal).
+    """
+
+    block_type: type
+
+    def __init__(self, budget: int = DEFAULT_BUDGET):
+        super().__init__(budget)
+        self._layouts: dict[tuple, _BlockLayout] = {}
+
+    def where(self, gen: Generator, size: int) -> Where:
+        raise NotImplementedError
+
+    def contexts(self, gen: Generator, bound: int):
+        """Each model up to ``bound`` as a one-model block."""
+        return self._blocks(gen, bound, single=True)
+
+    def blocks(self, gen: Generator, bound: int):
+        return self._blocks(gen, bound, single=False)
+
+    def _blocks(self, gen: Generator, bound: int, single: bool):
+        self.guard(gen, bound)
+        for size in range(1, bound + 1):
+            key = (size, gen.X, gen.Y, gen.E)
+            layout = self._layouts.get(key)
+            if layout is None:
+                layout = _BlockLayout(self.where(gen, size), self.model_bits(gen, size),
+                                      BLOCK_MODELS)
+                self._layouts[key] = layout
+            if single:
+                layout = layout.single()
+            for start in range(0, layout.count, layout.models):
+                yield self.block_type(layout, start)
+
+
+class PackedBlock(Context):
+    """The models of ordinals ``start .. start + models - 1`` of a layout."""
+
+    def __init__(self, layout: _BlockLayout, start: int):
+        super().__init__()
+        self.layout = layout
+        self.start = start
+        self.models = layout.models
+        self.points = layout.points
+        self.full = layout.full
+
+    def model(self, i: int) -> "PackedBlock":
+        return type(self)(self.layout.single(), self.start + i)
+
+
+class RelationalBlock(PackedBlock):
+    """A block of relational models.
+
+    A proposition holds at element w where its ordinal bit
+    ``props[name] + w`` is set.  An operator of rank h is the existential
+    image of its (h+1)-ary relation: element w gets
+    ``edge & (a1 >> u1) & ... & (ah >> uh)`` over the tuples
+    (w, u1, ..., uh), so a unary one is a Kripke diamond.
+    """
+
+    missing = "proposition {!r} has no valuation in this model"
+
+    def __init__(self, layout: _BlockLayout, start: int):
+        super().__init__(layout, start)
+        n = self.points
+        # edges[key][w]: (u1, ((1, u2), ..., (h-1, uh)), models with the tuple
+        # (w, u1, ..., uh)), empty masks left out
+        self.edges = {}
+        for key, (off, arity) in layout.where.relations.items():
+            rows = [[] for _ in range(n)]
+            for j, (w, u, *rest) in enumerate(itertools.product(range(n), repeat=arity)):
+                m = layout.bit(off + j, start)
+                if m:
+                    rows[w].append((u, tuple(enumerate(rest, 1)), m))
+            self.edges[key] = rows
+
+    def prop_mask(self, name: str) -> int:
+        layout = self.layout
+        try:
+            off = layout.where.props[name]
+        except KeyError:
+            raise EngineError(self.missing.format(name)) from None
+        out = 0
+        for w in range(self.points):
+            out |= layout.bit(off + w, self.start) << w
+        return out
+
+    def app_mask(self, conn, arg_masks) -> int:
+        m = arg_masks[0]
+        first = [m >> u for u in range(self.points)]
+        out = 0
+        for w, row in enumerate(self.edges[conn.key]):
+            acc = 0
+            for u, rest, edge in row:
+                edge &= first[u]
+                for k, v in rest:
+                    edge &= arg_masks[k] >> v
+                acc |= edge
+            out |= acc << w
+        return out
 
 
 def mask_to_list(mask: int) -> list[int]:

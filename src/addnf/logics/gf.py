@@ -9,7 +9,18 @@ bound variables (j1) and its guard's variables (j2), so the domain
 predicate is exactly "the body's free variables fit under the guard".
 
 The oracle searches relational structures with universes up to the bound
-under standard first-order semantics.
+under standard first-order semantics.  Structures of one size are
+numbered in the order ``GFOracle.contexts`` enumerates them: read in
+binary, the ordinal holds one relation code per relation of the
+instance, the last sorted relation lowest (bit j of a code: tuple j of
+``product(range(size), repeat=arity)``).  A point is an assignment to
+every variable of V, one base-size digit per variable: the assignment
+variables E first, then the others, each group sorted, the first
+variable lowest.  Blocks of structures are evaluated together: an atom
+spreads its tuple bits over the points, and ``(ex (vars) guard body)``
+is ``guard & body`` cylindrified over each bound variable.  A formula
+whose free variables lie in E is constant along the higher digits, so
+the lowest failing bit of a model is its first failing assignment to E.
 """
 from __future__ import annotations
 
@@ -29,7 +40,7 @@ from ..syntax import (
     Or,
     Prop,
 )
-from .base import DEFAULT_BUDGET, Context, Oracle, OracleReport
+from .base import DEFAULT_BUDGET, OracleReport, PackedBlock, PackedOracle, Where, stacked
 
 EQ = "="
 
@@ -228,86 +239,115 @@ def _pos(node):
     return tok.line, tok.col
 
 
-class _FOContext(Context):
-    def __init__(self, size: int, interp: dict[str, frozenset], assign_vars, inst: GFInstance):
-        super().__init__()
-        self.size = size
-        self.interp = interp
-        self.assign_vars = tuple(assign_vars)
+class _FOWhere(Where):
+    """The relation codes of the structures of one size, and their points."""
+
+    def __init__(self, size: int, relations: dict[str, tuple[int, int]],
+                 order: tuple[str, ...], assigned: tuple[str, ...], inst: GFInstance):
+        super().__init__(size, size ** len(order), {}, relations)
+        self.assigned = assigned
+        self.stride = {v: size ** i for i, v in enumerate(order)}
         self.inst = inst
-        self.points = size ** len(self.assign_vars)
-        self.full = (1 << self.points) - 1
+        # zero[v]: the points of one model where v is 0
+        self.zero = {
+            v: sum(1 << p for p in range(self.points) if p // s % size == 0)
+            for v, s in self.stride.items()
+        }
+        self._spreads: dict[str, list] = {}
 
-    def _env(self, point: int) -> dict[str, int]:
-        env, rest = {}, point
-        for v in self.assign_vars:
-            env[v] = rest % self.size
-            rest //= self.size
-        return env
+    def spread(self, atom_id: str) -> list[tuple[int | None, int]]:
+        """(ordinal bit, points) pairs: the atom holds at those points of
+        one model when that bit of its ordinal is set (always, for None)."""
+        out = self._spreads.get(atom_id)
+        if out is None:
+            rel, vars_ = self.inst.atoms[atom_id]
+            size = self.size
+            strides = [self.stride[v] for v in vars_]
+            off = None if rel == EQ else self.relations[rel][0]
+            pairs: dict = {}
+            for p in range(self.points):
+                t = [p // s % size for s in strides]
+                if off is None:
+                    if t[0] != t[1]:
+                        continue
+                    b = None
+                else:
+                    j = 0  # the tuple's place in product order
+                    for d in t:
+                        j = j * size + d
+                    b = off + j
+                pairs[b] = pairs.get(b, 0) | 1 << p
+            out = self._spreads[atom_id] = list(pairs.items())
+        return out
 
-    def _compute(self, f: Formula) -> int:
-        # Boolean nodes combine memoized masks, so subtrees shared between
-        # many member formulas are evaluated once per structure; atoms and
-        # quantifiers drop to per-assignment evaluation.
-        if isinstance(f, Not):
-            return self.full ^ self.eval(f.child)
-        if isinstance(f, And):
-            return self.eval(f.left) & self.eval(f.right)
-        if isinstance(f, Or):
-            return self.eval(f.left) | self.eval(f.right)
-        mask = 0
-        for point in range(self.points):
-            if self._holds(f, self._env(point)):
-                mask |= 1 << point
-        return mask
 
-    def _holds(self, f: Formula, env: dict[str, int]) -> bool:
-        if isinstance(f, Prop):
-            return self._atom_holds(f.name, env)
-        if isinstance(f, Not):
-            return not self._holds(f.child, env)
-        if isinstance(f, And):
-            return self._holds(f.left, env) and self._holds(f.right, env)
-        if isinstance(f, Or):
-            return self._holds(f.left, env) or self._holds(f.right, env)
-        if isinstance(f, App):
-            payload = f.conn.payload
-            for values in itertools.product(range(self.size), repeat=len(payload.bound)):
-                inner = dict(env)
-                inner.update(zip(payload.bound, values))
-                if self._atom_holds(payload.guard, inner) and self._holds(f.args[0], inner):
-                    return True
-            return False
-        raise TypeError(f"not a formula: {f!r}")
+class _FOBlock(PackedBlock):
+    def __init__(self, layout, start: int):
+        super().__init__(layout, start)
+        self._atoms: dict[str, int] = {}
+        self._admitted: dict[int, Formula] = {}
 
-    def _atom_holds(self, atom_id: str, env: dict[str, int]) -> bool:
-        rel, vars_ = self.inst.atoms[atom_id]
-        try:
-            tup = tuple(env[v] for v in vars_)
-        except KeyError as e:
-            raise EngineError(
-                f"variable {e.args[0]!r} of {atom_id} is not covered by the "
-                f"assignment variables {list(self.assign_vars)}"
-            ) from None
-        if rel == EQ:
-            return tup[0] == tup[1]
-        return tup in self.interp[rel]
+    def eval(self, f: Formula) -> int:
+        if id(f) not in self._admitted:
+            where = self.layout.where
+            extra = where.inst.domain.iota(f) - frozenset(where.assigned)
+            if extra:
+                raise EngineError(
+                    f"variables {sorted(extra)} are free in the formula but not covered "
+                    f"by the assignment variables {list(where.assigned)}"
+                )
+            self._admitted[id(f)] = f
+        return self._eval(f)
+
+    def prop_mask(self, name: str) -> int:
+        m = self._atoms.get(name)
+        if m is None:
+            layout = self.layout
+            m = 0
+            for b, points in layout.where.spread(name):
+                m |= (layout.every if b is None else layout.bit(b, self.start)) * points
+            self._atoms[name] = m
+        return m
+
+    def app_mask(self, conn, arg_masks) -> int:
+        """``guard & body`` cylindrified over each bound variable: shifted
+        down by every value of the variable's digit and ORed, kept where
+        the digit is 0, and shifted back up over every value."""
+        where = self.layout.where
+        m = self.prop_mask(conn.payload.guard) & arg_masks[0]
+        for v in conn.payload.bound:
+            s = where.stride[v]
+            acc = m
+            for c in range(1, where.size):
+                acc |= m >> (c * s)
+            acc &= self.layout.every * where.zero[v]
+            m = acc
+            for c in range(1, where.size):
+                m |= acc << (c * s)
+        return m
 
     def describe(self) -> dict:
+        where = self.layout.where
         return {
             "kind": "structure",
-            "universe": self.size,
-            "relations": {r: sorted(map(list, ts)) for r, ts in sorted(self.interp.items())},
+            "universe": where.size,
+            "relations": where.tuples(self.start),
         }
 
     def point_desc(self, point: int) -> dict:
-        return {"assignment": self._env(point)}
+        size = self.layout.where.size
+        env = {}
+        for v in self.layout.where.assigned:
+            env[v] = point % size
+            point //= size
+        return {"assignment": env}
 
 
-class GFOracle(Oracle):
+class GFOracle(PackedOracle):
     """Exhaustive search over relational structures up to the universe bound."""
 
     exact = False
+    block_type = _FOBlock
 
     def __init__(self, inst: GFInstance, budget: int = DEFAULT_BUDGET):
         super().__init__(budget)
@@ -316,22 +356,18 @@ class GFOracle(Oracle):
     def assignment_vars(self, f: Formula) -> frozenset[str]:
         return self.inst.free(f)
 
-    def contexts(self, gen: Generator, bound: int):
-        self.guard(gen, bound)
-        assign_vars = sorted(gen.E)
+    def where(self, gen: Generator, size: int) -> _FOWhere:
         rels = sorted(self.inst.relations.items())
-        for size in range(1, bound + 1):
-            spaces = []
-            for _, arity in rels:
-                spaces.append(list(itertools.product(range(size), repeat=arity)))
-            code_ranges = [range(1 << len(tuples)) for tuples in spaces]
-            for codes in itertools.product(*code_ranges):
-                interp = {}
-                for (name, _), tuples, code in zip(rels, spaces, codes):
-                    interp[name] = frozenset(
-                        t for j, t in enumerate(tuples) if code >> j & 1
-                    )
-                yield _FOContext(size, interp, assign_vars, self.inst)
+        offsets = stacked(0, [size ** arity for _, arity in rels])
+        assigned = tuple(sorted(gen.E))
+        rest = tuple(v for v in self.inst.variables if v not in gen.E)
+        return _FOWhere(
+            size,
+            {name: (off, arity) for (name, arity), off in zip(rels, offsets)},
+            assigned + rest,
+            assigned,
+            self.inst,
+        )
 
     def model_bits(self, gen: Generator, size: int) -> int:
         return sum(size ** arity for arity in self.inst.relations.values())

@@ -11,6 +11,7 @@ import itertools
 from hypothesis import strategies as st
 
 from addnf import And, App, Not, Or, Prop
+from addnf.logics import ComplexAlgebraOracle, GFOracle, KripkeOracle
 
 
 def formula_strategy(props):
@@ -149,11 +150,170 @@ def random_gf_case(rng, inst, d=1, size=8):
     return random_gf_formula(rng, inst, d, size, frozenset(inst.variables), pool, quants)
 
 
+# -- independent model semantics ----------------------------------------------
+#
+# The bounded oracles' models, enumerated in the documented order (relation
+# codes by ``itertools.product``, then valuations) as ``describe()``
+# documents, and evaluated from those documents alone: a relational model
+# (Kripke frame or complex algebra) tuple by tuple, a first-order
+# structure one assignment at a time.
+
+
+def _tuples(size, arity, code):
+    return [list(t) for j, t in enumerate(itertools.product(range(size), repeat=arity))
+            if code >> j & 1]
+
+
+def _elements(mask):
+    return [w for w in range(mask.bit_length()) if mask >> w & 1]
+
+
+def reference_models(oracle, gen, bound):
+    """The models of ``oracle`` up to ``bound`` as ``describe()`` documents."""
+    if isinstance(oracle, GFOracle):
+        rels = sorted(oracle.inst.relations.items())
+        for size in range(1, bound + 1):
+            ranges = [range(1 << size ** arity) for _, arity in rels]
+            for codes in itertools.product(*ranges):
+                yield {"kind": "structure", "universe": size, "relations": {
+                    name: _tuples(size, arity, code) for (name, arity), code in zip(rels, codes)
+                }}
+        return
+    props = sorted(gen.X)
+    conns = gen.sorted_conns()
+    for size in range(1, bound + 1):
+        ranges = [range(1 << size ** (c.rank + 1)) for c in conns]
+        for codes in itertools.product(*ranges):
+            relations = {c.key: _tuples(size, c.rank + 1, code) for c, code in zip(conns, codes)}
+            if isinstance(oracle, KripkeOracle):
+                ones = (1 << size) - 1
+                for v in range(1 << size * len(props)):
+                    yield {"kind": "kripke", "worlds": size, "relations": relations,
+                           "valuation": {p: _elements(v >> j * size & ones)
+                                         for j, p in enumerate(props)}}
+            elif isinstance(oracle, ComplexAlgebraOracle):
+                for vals in itertools.product(range(1 << size), repeat=len(props)):
+                    yield {"kind": "complex-algebra", "frame_size": size,
+                           "relations": relations,
+                           "values": {p: _elements(v) for p, v in zip(props, vals)}}
+            else:
+                raise TypeError(f"no reference models for {oracle!r}")
+
+
+def eval_complex(f, size, relations, values, memo) -> int:
+    """The mask of the elements where ``f`` holds; an operator holds at w
+    when some tuple (w, u1, ..., uh) of its relation has each u_i in
+    argument i."""
+    hit = memo.get(id(f))
+    if hit is not None:
+        return hit[1]
+    if isinstance(f, Prop):
+        out = sum(1 << w for w in values[f.name])
+    elif isinstance(f, Not):
+        out = ((1 << size) - 1) ^ eval_complex(f.child, size, relations, values, memo)
+    elif isinstance(f, (And, Or)):
+        left = eval_complex(f.left, size, relations, values, memo)
+        right = eval_complex(f.right, size, relations, values, memo)
+        out = left & right if isinstance(f, And) else left | right
+    elif isinstance(f, App):
+        args = [eval_complex(a, size, relations, values, memo) for a in f.args]
+        out = 0
+        for head, *rest in relations[f.conn.key]:
+            if all(arg >> u & 1 for u, arg in zip(rest, args)):
+                out |= 1 << head
+    else:
+        raise TypeError(f)
+    memo[id(f)] = (f, out)
+    return out
+
+
+def holds_fo(f, size, relations, atoms, env) -> bool:
+    """First-order truth of a GF formula at one assignment ``env``."""
+    if isinstance(f, Prop):
+        rel, vars_ = atoms[f.name]
+        t = tuple(env[v] for v in vars_)
+        return t[0] == t[1] if rel == "=" else t in relations[rel]
+    if isinstance(f, Not):
+        return not holds_fo(f.child, size, relations, atoms, env)
+    if isinstance(f, And):
+        return (holds_fo(f.left, size, relations, atoms, env)
+                and holds_fo(f.right, size, relations, atoms, env))
+    if isinstance(f, Or):
+        return (holds_fo(f.left, size, relations, atoms, env)
+                or holds_fo(f.right, size, relations, atoms, env))
+    if isinstance(f, App):
+        bound, guard = f.conn.payload.bound, Prop(f.conn.payload.guard)
+        for values in itertools.product(range(size), repeat=len(bound)):
+            inner = dict(env)
+            inner.update(zip(bound, values))
+            if (holds_fo(guard, size, relations, atoms, inner)
+                    and holds_fo(f.args[0], size, relations, atoms, inner)):
+                return True
+        return False
+    raise TypeError(f)
+
+
+class ReferenceModel:
+    """One model read back from its ``describe()`` document.
+
+    ``eval(f)`` is the mask of the points where ``f`` holds: elements, or
+    for a structure the assignments to ``assigned``, the first variable the
+    lowest base-size digit.
+    """
+
+    def __init__(self, doc, atoms=None, assigned=()):
+        self.doc = doc
+        self.structure = doc["kind"] == "structure"
+        if self.structure:
+            self.size = doc["universe"]
+            self.relations = {r: {tuple(t) for t in ts} for r, ts in doc["relations"].items()}
+            self.atoms = atoms
+            self.assigned = tuple(assigned)
+            self.points = self.size ** len(self.assigned)
+        else:
+            self.size = self.points = doc["worlds" if doc["kind"] == "kripke" else "frame_size"]
+            self.relations = doc["relations"]
+            self.values = doc["valuation" if doc["kind"] == "kripke" else "values"]
+        self.full = (1 << self.points) - 1
+        self._memo = {}
+
+    def describe(self):
+        return self.doc
+
+    def env(self, point):
+        out = {}
+        for v in self.assigned:
+            point, out[v] = divmod(point, self.size)
+        return out
+
+    def eval(self, f) -> int:
+        if not self.structure:
+            return eval_complex(f, self.size, self.relations, self.values, self._memo)
+        return sum(1 << p for p in range(self.points)
+                   if holds_fo(f, self.size, self.relations, self.atoms, self.env(p)))
+
+    def point_desc(self, point):
+        if self.structure:
+            return {"assignment": self.env(point)}
+        return {"world" if self.doc["kind"] == "kripke" else "element": point}
+
+
+def reference_contexts(oracle, gen, bound, assigned=None):
+    """``ReferenceModel``s of the models up to ``bound``, in contexts order;
+    a structure's points are the assignments to ``assigned`` (default: the
+    sorted E)."""
+    atoms = oracle.inst.atoms if isinstance(oracle, GFOracle) else None
+    if assigned is None:
+        assigned = sorted(gen.E)
+    for doc in reference_models(oracle, gen, bound):
+        yield ReferenceModel(doc, atoms, assigned)
+
+
 # -- per-model reference loops -------------------------------------------------
 #
 # The oracle checks run over blocks of packed models; these loops take one
-# model context at a time from ``oracle.contexts`` and return what each
-# report's ``to_json()`` must be.
+# reference model at a time and return what each report's ``to_json()``
+# must be.
 
 
 def _lowest_bit(mask: int) -> int:
@@ -164,7 +324,7 @@ def per_model_verify_many(sp, items, oracle, bound):
     items = [(f, frozenset(sigma)) for f, sigma in items]
     docs = {}
     checked = 0
-    for ctx in oracle.contexts(sp.gen, bound):
+    for ctx in reference_contexts(oracle, sp.gen, bound):
         checked += 1
         masks = [ctx.eval(sp.formula(i)) for i in range(sp.size)]
         for j, (f, sigma) in enumerate(items):
@@ -193,7 +353,7 @@ def per_model_verify_many(sp, items, oracle, bound):
 
 def per_model_partition_check(sp, oracle, bound):
     checked = 0
-    for ctx in oracle.contexts(sp.gen, bound):
+    for ctx in reference_contexts(oracle, sp.gen, bound):
         checked += 1
         masks = [ctx.eval(sp.formula(i)) for i in range(sp.size)]
         for point in range(ctx.points):
@@ -212,7 +372,7 @@ def per_model_partition_check(sp, oracle, bound):
 
 def per_model_check_valid(oracle, f, bound, gen):
     checked = 0
-    for ctx in oracle.contexts(gen, bound):
+    for ctx in reference_contexts(oracle, gen, bound):
         checked += 1
         m = ctx.eval(f)
         if m != ctx.full:
@@ -221,6 +381,24 @@ def per_model_check_valid(oracle, f, bound, gen):
                 "countermodel": {
                     "context": ctx.describe(),
                     "point": ctx.point_desc(_lowest_bit(ctx.full ^ m)),
+                },
+            }
+    return {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
+            "countermodel": None}
+
+
+def per_model_check_equal(oracle, lhs, rhs, bound, gen):
+    checked = 0
+    for ctx in reference_contexts(oracle, gen, bound):
+        checked += 1
+        a, b = ctx.eval(lhs), ctx.eval(rhs)
+        if a != b:
+            return {
+                "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
+                "countermodel": {
+                    "context": ctx.describe(),
+                    "lhs_value": _elements(a),
+                    "rhs_value": _elements(b),
                 },
             }
     return {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,

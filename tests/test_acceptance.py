@@ -207,7 +207,7 @@ def test_criterion_5_rewrite_roundtrip():
         r = normalize(f, gen, GF.domain)
         rep = verify(f, r, GF.oracle, 3)
         assert rep.ok, (f, rep.countermodel)
-    _passline(5, "rewrite round-trip", t0, 60)
+    _passline(5, "rewrite round-trip", t0, 30)
 
 
 def test_criterion_6_idempotence():

@@ -1,9 +1,10 @@
-"""The packed Kripke blocks against one model context at a time.
+"""The packed blocks against one model at a time.
 
-Block masks are compared bit by bit with ``_KripkeContext.eval`` on the
-models ``KripkeOracle.contexts`` enumerates, and the block-based reports
-of verify, verify_many, partition_check and check_valid with the
-per-model reference loops of ``helpers``.
+The bounded oracles (Kripke, complex algebra, first-order) enumerate their
+models as the independent ``helpers.reference_models`` does, block masks
+match the reference evaluators of ``helpers`` bit for bit on every model,
+and the block-based reports of verify, verify_many, partition_check,
+check_valid and BAO check_equal match the per-model reference loops.
 """
 import itertools
 import random
@@ -11,28 +12,36 @@ import random
 import pytest
 
 from helpers import (
+    ReferenceModel,
+    per_model_check_equal,
     per_model_check_valid,
     per_model_partition_check,
     per_model_verify_many,
     random_modal_formula,
+    reference_contexts,
+    reference_models,
 )
 
 from addnf import (
     And,
     App,
+    EngineError,
     Generator,
     Not,
     Or,
     Prop,
     derive_generator,
     normalize,
+    parse_formula,
     partition_check,
     space,
     verify,
     verify_many,
 )
-from addnf.logics import modal_k_instance
-from addnf.logics.modal import BLOCK_MODELS, KripkeOracle
+from addnf.logics import GFInstance, bao_instance, gf_instance, modal_k_instance
+from addnf.logics.base import BLOCK_MODELS
+from addnf.logics.modal import KripkeOracle
+from addnf.syntax import vocabulary
 
 # (diamonds, propositions, models compared with contexts()); two diamonds
 # have 2**21 models of 3 worlds, so only their first block of that size is.
@@ -56,14 +65,14 @@ def _formulas(rng, inst, props, count):
     return out
 
 
-def _assert_bits(block, contexts, formulas):
+def _assert_bits(block, models, formulas):
     n = block.points
     ones = (1 << n) - 1
     masks = [block.eval(f) for f in formulas]
-    for i, ctx in enumerate(contexts):
-        assert ctx.points == n
+    for i, ref in enumerate(models):
+        assert ref.points == n
         for f, m in zip(formulas, masks):
-            assert (m >> (i * n)) & ones == ctx.eval(f), (f, i)
+            assert (m >> (i * n)) & ones == ref.eval(f), (f, i)
 
 
 @pytest.mark.parametrize("dias,props,limit", SHAPES)
@@ -72,13 +81,13 @@ def test_block_masks_match_each_model(dias, props, limit):
     gen = Generator(0, frozenset(props), frozenset(inst.diamonds), inst.domain.points)
     oracle = KripkeOracle(budget=1 << 22)
     formulas = _formulas(random.Random(len(dias) * 10 + len(props)), inst, props, 3)
-    contexts = oracle.contexts(gen, 3)
+    refs = reference_contexts(oracle, gen, 3)
     checked, sizes, last = 0, set(), None
     for block in oracle.blocks(gen, 3):
         last = block
         if limit is not None and checked >= limit:
             continue
-        models = list(itertools.islice(contexts, block.models))
+        models = list(itertools.islice(refs, block.models))
         assert len(models) == block.models
         _assert_bits(block, models, formulas)
         for i in (0, block.models // 3, block.models - 1):
@@ -87,10 +96,11 @@ def test_block_masks_match_each_model(dias, props, limit):
         sizes.add(block.points)
     assert sizes == {1, 2, 3}
     if limit is None:
-        assert next(contexts, None) is None
+        assert next(refs, None) is None
         return
     # The last block of 3 worlds: every ordinal bit above the block is set.
-    _assert_bits(last, [last.model(i) for i in range(last.models)], formulas)
+    decoded = [ReferenceModel(last.model(i).describe()) for i in range(last.models)]
+    _assert_bits(last, decoded, formulas)
     top = last.model(last.models - 1).describe()
     assert top["valuation"] == {p: [0, 1, 2] for p in props}
     assert all(len(pairs) == 9 for pairs in top["relations"].values())
@@ -168,19 +178,194 @@ def test_two_diamond_reports_match_the_per_model_loop():
     assert partition_check(sp, oracle, 2).to_json() == per_model_partition_check(sp, oracle, 2)
 
 
+def _broken(sp, i, j, swap):
+    """``sp`` with member i replaced by member j (a gap where i held, an
+    overlap where j holds) or widened to (i or j) (the overlap alone)."""
+    broken = type(sp)(sp.gen, sp.ds, sp.xtilde, sp.compatible, sp.bar, sp.children, sp.base)
+    broken._formulas = {m: sp.formula(m) for m in range(sp.size)}
+    broken._formulas[i] = sp.formula(j) if swap else Or(sp.formula(i), sp.formula(j))
+    return broken
+
+
 @pytest.mark.parametrize("swap", [False, True])
 def test_a_broken_member_is_found_by_partition_check(swap):
-    # Member 3 replaced by member 5 leaves a gap where 3 held and an
-    # overlap where 5 holds; widened to (3 or 5) it leaves the overlap
-    # alone.  The block report must name the per-model loop's first model.
+    # The block report must name the per-model loop's first model.
     inst = modal_k_instance()
     dia = inst.diamonds[0]
     sp = space(Generator(1, {"p"}, {dia}, inst.domain.points), inst.domain)
-    broken = type(sp)(sp.gen, sp.ds, sp.xtilde, sp.compatible, sp.bar, sp.children, sp.base)
-    broken._formulas = {i: sp.formula(i) for i in range(sp.size)}
-    broken._formulas[3] = sp.formula(5) if swap else Or(sp.formula(3), sp.formula(5))
+    broken = _broken(sp, 3, 5, swap)
     report = partition_check(broken, inst.oracle, 3)
     assert not report.ok
     if not swap:
         assert report.counterexample["members_true"] == [3, 5]
     assert report.to_json() == per_model_partition_check(broken, inst.oracle, 3)
+
+
+# -- complex algebras and first-order structures -------------------------------
+#
+# Each case: an instance, a generator (X, the quantifiers or operators, E),
+# the bound, and formulas of that generator in the instance's syntax.
+
+
+def _bao_case(operators, constants, variables, k, bound, texts):
+    inst = bao_instance(operators, constants, variables)
+    gen = Generator(k, set(variables) | set(constants),
+                    set(inst.logic.connectives.values()), inst.domain.points)
+    return inst, gen, bound, texts
+
+
+def _gf_case(variables, relations, equality, k, X, quants, E, bound, texts):
+    inst = gf_instance(variables, relations, equality)
+    Y = {inst.quantifier(b, inst.atom(*guard.split())) for b, guard in quants}
+    X = {inst.atom(*a.split()) for a in X} | {c.payload.guard for c in Y}
+    return inst, Generator(k, X, Y, set(E)), bound, texts
+
+
+CASES = {
+    "bao-f-x": lambda: _bao_case({"f": 1}, (), ("x",), 1, 3, [
+        "(f x)", "(plus (f x) (minus x))", "(times (f x) (f (minus x)))",
+        "(f (plus x (minus x)))",
+    ]),
+    # Symbol order: the values sit last symbol lowest, c < x < y.
+    "bao-c-x-y": lambda: _bao_case({"f": 1}, ("c",), ("x", "y"), 0, 2, [
+        "(plus c (times x (minus y)))", "(times (minus c) y)", "(plus x (minus y))",
+    ]),
+    "bao-rank-2": lambda: _bao_case({"g": 2}, (), ("x",), 1, 2, [
+        "(g x x)", "(g x (minus x))", "(plus (g x (minus x)) (g (minus x) x))",
+        "(times x (minus (g x x)))",
+    ]),
+    "gf-E-is-V": lambda: _gf_case(("u", "v"), {"R": 2}, False, 1, ["R u v"],
+                                  [(("u",), "R u v")], ("u", "v"), 3, [
+        "(ex (u) (R u v) (R u v))", "(or (R u v) (ex (u) (R u v) (not (R u v))))",
+        "(and (R u v) (not (ex (u) (R u v) (R u v))))",
+    ]),
+    # The bound variable u lies outside E = {v}, so u is a high digit.
+    "gf-E-is-v": lambda: _gf_case(("u", "v"), {"R": 2}, False, 1, ["R v v", "R u v"],
+                                  [(("u",), "R u v")], ("v",), 3, [
+        "(ex (u) (R u v) (R u v))", "(ex (u) (R u v) (not (R u v)))",
+        "(or (R v v) (ex (u) (R u v) (R v v)))",
+        "(and (not (R v v)) (ex (u) (R u v) (not (R v v))))",
+    ]),
+    "gf-equality": lambda: _gf_case(("u", "v"), {"R": 2}, True, 1, ["= u v"],
+                                    [(("v",), "R u v")], ("u", "v"), 3, [
+        "(ex (v) (R u v) (= u v))", "(or (= u v) (ex (v) (R u v) (not (= u v))))",
+        "(not (ex (v) (R u v) (= u v)))",
+    ]),
+    # Relation order: T's code sits lowest, below P's.
+    "gf-unary-ternary": lambda: _gf_case(("u", "v", "w"), {"P": 1, "T": 3}, False, 1,
+                                         ["P u"], [(("v", "w"), "T u v w")], ("u",), 2, [
+        "(ex (v w) (T u v w) (P u))", "(or (P u) (ex (v w) (T u v w) (not (P u))))",
+        "(and (P u) (not (ex (v w) (T u v w) (P u))))",
+    ]),
+}
+
+
+def _case(name):
+    inst, gen, bound, texts = CASES[name]()
+    formulas = [parse_formula(t, inst.logic) for t in texts]
+    return inst, gen, bound, formulas
+
+
+def _point_order(inst, gen):
+    """A structure's point variables: E's first, then the others."""
+    if not isinstance(inst, GFInstance):
+        return None
+    assigned = sorted(gen.E)
+    return assigned + [v for v in inst.variables if v not in gen.E]
+
+
+def _held(oracle, gen, bound, sp):
+    """Two members that hold at point 0 of some model from the 38th on."""
+    found = []
+    for ref in itertools.islice(reference_contexts(oracle, gen, bound), 37, None):
+        i = next(i for i in range(sp.size) if ref.eval(sp.formula(i)) & 1)
+        if i not in found:
+            found.append(i)
+            if len(found) == 2:
+                return found
+    raise AssertionError("fewer than two members are realized")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_contexts_enumerate_the_reference_models(name):
+    inst, gen, bound, _ = _case(name)
+    got = [ctx.describe() for ctx in inst.oracle.contexts(gen, bound)]
+    assert got == list(reference_models(inst.oracle, gen, bound))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_packed_masks_match_each_model(name):
+    inst, gen, bound, formulas = _case(name)
+    sp = space(gen, inst.domain)
+    formulas = formulas + [sp.formula(i) for i in range(0, sp.size, 3)]
+    oracle = inst.oracle
+    refs = reference_contexts(oracle, gen, bound, _point_order(inst, gen))
+    sizes = []
+    for block in oracle.blocks(gen, bound):
+        models = list(itertools.islice(refs, block.models))
+        assert len(models) == block.models
+        _assert_bits(block, models, formulas)
+        for i in (0, block.models // 3, block.models - 1):
+            assert block.model(i).describe() == models[i].describe()
+        sizes.append(block.models)
+    assert next(refs, None) is None
+    assert len(sizes) == bound
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_packed_reports_match_the_per_model_loop(name):
+    inst, gen, bound, formulas = _case(name)
+    oracle = inst.oracle
+    sp = space(gen, inst.domain)
+    rng = random.Random(name)
+    results = [normalize(f, gen, inst.domain) for f in formulas]
+    good = [(f, r.sigma) for f, r in zip(formulas, results)]
+    bad = [(f, _flip(r.sigma, rng.randrange(sp.size))) for f, r in zip(formulas, results)]
+    # Flipping a member that holds somewhere must fail.
+    bad.append((formulas[-1], _flip(results[-1].sigma, _held(oracle, gen, bound, sp)[0])))
+    got = [rep.to_json() for rep in verify_many(sp, good + bad, oracle, bound)]
+    want = per_model_verify_many(sp, good + bad, oracle, bound)
+    assert got == want
+    assert all(doc["ok"] for doc in want[:len(good)])
+    assert not want[-1]["ok"]
+    f, r = formulas[0], results[0]
+    assert verify(f, r, oracle, bound).to_json() == want[0]
+    wrong = type(r)(generator=gen, sigma=bad[0][1], space=sp)
+    assert verify(f, wrong, oracle, bound).to_json() == want[len(good)]
+    assert partition_check(sp, oracle, bound).to_json() == \
+        per_model_partition_check(sp, oracle, bound)
+    for f in formulas[:2]:
+        for g in (f, Or(f, Not(f))):
+            assert oracle.check_valid(g, bound, gen).to_json() == \
+                per_model_check_valid(oracle, g, bound, gen)
+    if hasattr(oracle, "check_equal"):
+        for lhs, rhs in itertools.combinations(formulas, 2):
+            assert oracle.check_equal(lhs, rhs, bound, gen).to_json() == \
+                per_model_check_equal(oracle, lhs, rhs, bound, gen)
+        lhs, rhs = formulas[0], Or(formulas[0], And(formulas[1], Not(formulas[1])))
+        (p1, c1), (p2, c2) = vocabulary(lhs), vocabulary(rhs)
+        own = Generator(0, p1 | p2, c1 | c2, frozenset())
+        assert inst.check_equal(lhs, rhs, bound).to_json() == \
+            per_model_check_equal(oracle, lhs, rhs, bound, own)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_packed_partition_check_finds_a_gap_and_an_overlap(name):
+    inst, gen, bound, _ = _case(name)
+    sp = space(gen, inst.domain)
+    i, j = _held(inst.oracle, gen, bound, sp)
+    for swap in (False, True):
+        broken = _broken(sp, i, j, swap)
+        report = partition_check(broken, inst.oracle, bound)
+        assert not report.ok
+        assert report.to_json() == per_model_partition_check(broken, inst.oracle, bound)
+
+
+def test_free_variables_outside_the_assignment_variables_fail():
+    inst, gen, bound, formulas = _case("gf-E-is-v")
+    body = parse_formula("(R u v)", inst.logic)
+    with pytest.raises(EngineError, match="not covered by the assignment variables"):
+        inst.oracle.check_valid(body, bound, gen)
+    with pytest.raises(EngineError, match="not covered by the assignment variables"):
+        verify_many(space(gen, inst.domain), [(Or(formulas[0], body), ())], inst.oracle, bound)
+    assert not inst.oracle.check_valid(formulas[0], bound, gen).ok
