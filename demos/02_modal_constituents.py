@@ -5,7 +5,7 @@ Shows the counting recurrence, the structure of a degree-1 constituent
 Kripke-model verification.
 """
 from addnf import Generator, count, disjunction, normalize, parse_formula, render_formula, space, verify
-from addnf.logics import kripke_oracle, modal_k_instance
+from addnf.logics import modal_k_instance
 
 inst = modal_k_instance()          # one unary diamond spelled "dia"
 dia = inst.diamonds[0]
@@ -39,7 +39,7 @@ print(f"no Kripke countermodel up to 3 worlds: ok={report.ok} "
 # The diamond distributes over disjunction; that is what makes the
 # rewriting sound, and the bounded oracle can observe it directly.
 law = parse_formula("(iff (dia (or p q)) (or (dia p) (dia q)))", inst.logic)
-print("\ndistribution over disjunction:", kripke_oracle(law, 3).ok)
+print("\ndistribution over disjunction:", inst.oracle.check_valid(law, 3).ok)
 
 # Normalizing the rendered disjunction gives back exactly the same members.
 again = normalize(disjunction(r), gen, ds)

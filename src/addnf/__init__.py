@@ -9,7 +9,6 @@ from .constituents import (
     DEFAULT_CAP,
     Constituent,
     ConstituentSpace,
-    PartitionReport,
     count,
     partition_check,
     space,
@@ -25,7 +24,8 @@ from .errors import (
     UnknownSymbolError,
     UnsuitableGenerator,
 )
-from .rewriter import NormalizationResult, VerifyReport, disjunction, normalize, verify, verify_many
+from .logics.base import Report
+from .rewriter import NormalizationResult, disjunction, normalize, verify, verify_many
 from .syntax import (
     And,
     App,
@@ -68,12 +68,11 @@ __all__ = [
     "NotLargeEnough",
     "Or",
     "ParseError",
-    "PartitionReport",
     "Prop",
+    "Report",
     "SuitabilityReport",
     "UnknownSymbolError",
     "UnsuitableGenerator",
-    "VerifyReport",
     "conj_all",
     "count",
     "depth",

@@ -9,6 +9,7 @@ the recursive formula walkers, exits 1 with an ``error:`` line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -21,7 +22,9 @@ from .rewriter import disjunction, normalize, verify
 from .syntax import depth, parse_formula, render_formula, vocabulary
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then reused."""
     p = argparse.ArgumentParser(
         prog="addnf",
         description="Enumerate degree-k normal forms and rewrite formulas into them.",

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from .bitsets import zero_bit_pattern
 from .domain_system import DomainSystem, Generator
 from .errors import CapExceeded, EngineError, NotLargeEnough
+from .logics.base import Report
 from .syntax import And, App, ConnectiveSig, Formula, Not, Prop, conj_all
 
 DEFAULT_CAP = 2 ** 20
@@ -353,33 +354,18 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
     return sp
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    ok: bool
-    exact: bool
-    contexts: int
-    counterexample: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "exact": self.exact,
-            "contexts": self.contexts,
-            "counterexample": self.counterexample,
-        }
-
-
 DEFAULT_PARTITION_BUDGET = 5_000_000
 
 
 def partition_check(sp: ConstituentSpace, oracle, bound: int,
-                    budget: int = DEFAULT_PARTITION_BUDGET) -> PartitionReport:
+                    budget: int = DEFAULT_PARTITION_BUDGET) -> Report:
     """Check that the space's members partition every model point.
 
     At each evaluation point of each model, exactly one member must hold:
     at least one by the exhaustiveness half, at most one by pairwise
     contradiction.  Exact when the oracle is exact, otherwise a bounded
-    search; the report carries the first counterexample found.
+    search; the report's countermodel is the first failing model and
+    point, with the members true there.
     """
     limit = budget // sp.size
     if oracle.estimate_contexts(sp.gen, bound, limit) > limit:
@@ -397,17 +383,8 @@ def partition_check(sp: ConstituentSpace, oracle, bound: int,
             seen |= m
         return twice | (block.full ^ seen)
 
-    checked, (fail,) = oracle.first_failures(sp.gen, bound, [gaps_and_overlaps])
-    if fail is None:
-        return PartitionReport(ok=True, exact=oracle.exact, contexts=checked)
-    ctx, point = fail.context, fail.point
-    return PartitionReport(
-        ok=False,
-        exact=oracle.exact,
-        contexts=fail.contexts,
-        counterexample={
-            "context": ctx.describe(),
-            "point": ctx.point_desc(point),
-            "members_true": [i for i, g in enumerate(members) if ctx.eval(g) >> point & 1],
-        },
-    )
+    def explain(ctx, point) -> dict:
+        trues = [i for i, g in enumerate(members) if ctx.eval(g) >> point & 1]
+        return {**ctx.at(point), "members_true": trues}
+
+    return oracle.check(sp.gen, bound, [(gaps_and_overlaps, explain)])[0]

@@ -2,11 +2,11 @@
 from __future__ import annotations
 
 from ..errors import EngineError
-from .bao import BAOInstance, ComplexAlgebraOracle, bao_instance, bao_oracle
-from .base import DEFAULT_BOUND, Oracle, OracleReport
-from .gf import GFInstance, GFOracle, fo_oracle, gf_instance, gf_validate
-from .modal import KripkeOracle, ModalKInstance, kripke_oracle, modal_k_instance
-from .prop import PropositionalInstance, TruthTableOracle, prop_oracle, propositional_instance
+from .bao import BAOInstance, ComplexAlgebraOracle, bao_instance
+from .base import DEFAULT_BOUND, Oracle, Report
+from .gf import GFInstance, GFOracle, gf_instance, gf_validate
+from .modal import KripkeOracle, ModalKInstance, modal_k_instance
+from .prop import PropositionalInstance, TruthTableOracle, propositional_instance
 
 LOGIC_IDS = ("prop", "modal-k", "gf", "bao")
 
@@ -46,17 +46,13 @@ __all__ = [
     "LOGIC_IDS",
     "ModalKInstance",
     "Oracle",
-    "OracleReport",
     "PropositionalInstance",
+    "Report",
     "TruthTableOracle",
     "bao_instance",
-    "bao_oracle",
     "build_instance",
-    "fo_oracle",
     "gf_instance",
     "gf_validate",
-    "kripke_oracle",
     "modal_k_instance",
-    "prop_oracle",
     "propositional_instance",
 ]

@@ -28,15 +28,7 @@ from dataclasses import dataclass, field
 from ..domain_system import DomainSystem, Generator
 from ..errors import EngineError
 from ..syntax import And, ConnectiveSig, Formula, LogicDef, Not, Or, Prop, render_formula
-from .base import (
-    DEFAULT_BUDGET,
-    OracleReport,
-    PackedOracle,
-    RelationalBlock,
-    Where,
-    mask_to_list,
-    stacked,
-)
+from .base import DEFAULT_BOUND, PackedOracle, RelationalBlock, Report, Where, mask_to_list, stacked
 
 POINT = "*"
 
@@ -63,10 +55,6 @@ class ComplexAlgebraOracle(PackedOracle):
     exact = False
     block_type = _AlgebraBlock
 
-    def __init__(self, constants, budget: int = DEFAULT_BUDGET):
-        super().__init__(budget)
-        self.constants = frozenset(constants)
-
     def where(self, gen: Generator, size: int) -> Where:
         symbols = sorted(gen.X)
         ops = gen.sorted_conns()
@@ -81,29 +69,21 @@ class ComplexAlgebraOracle(PackedOracle):
     def model_bits(self, gen: Generator, size: int) -> int:
         return size * len(gen.X) + sum(size ** (op.rank + 1) for op in gen.Y)
 
-    def check_equal(self, lhs: Formula, rhs: Formula, bound: int,
-                    gen: Generator | None = None) -> OracleReport:
+    def check_equal(self, lhs: Formula, rhs: Formula, bound: int = DEFAULT_BOUND,
+                    gen: Generator | None = None) -> Report:
         """Do both terms take the same value in every algebra up to the bound?"""
         if gen is None:
             g1, g2 = self.vocab_for(lhs), self.vocab_for(rhs)
             gen = Generator(0, g1.X | g2.X, g1.Y | g2.Y, frozenset())
-        checked, (fail,) = self.first_failures(
-            gen, bound, [lambda b: b.eval(lhs) ^ b.eval(rhs)]
-        )
-        if fail is None:
-            return OracleReport(ok=True, exact=self.exact, contexts=checked, bound=bound)
-        ctx = fail.context
-        return OracleReport(
-            ok=False,
-            exact=self.exact,
-            contexts=fail.contexts,
-            bound=bound,
-            countermodel={
+
+        def explain(ctx, point) -> dict:
+            return {
                 "context": ctx.describe(),
                 "lhs_value": mask_to_list(ctx.eval(lhs)),
                 "rhs_value": mask_to_list(ctx.eval(rhs)),
-            },
-        )
+            }
+
+        return self.check(gen, bound, [(lambda b: b.eval(lhs) ^ b.eval(rhs), explain)])[0]
 
 
 @dataclass
@@ -133,9 +113,6 @@ class BAOInstance:
     def render_term(self, f: Formula) -> str:
         return render_formula(f, self.logic)
 
-    def check_equal(self, lhs: Formula, rhs: Formula, bound: int = 3) -> OracleReport:
-        return self.oracle.check_equal(lhs, rhs, bound)
-
 
 def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
     operators = dict(operators) if operators is not None else {"f": 1}
@@ -161,7 +138,7 @@ def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
         j2={s.key: v for s in sigs.values()},
         iota_default=v,
     )
-    oracle = ComplexAlgebraOracle(constants)
+    oracle = ComplexAlgebraOracle()
     least = min(symbols)
 
     def zero_one(token: str):
@@ -191,8 +168,3 @@ def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
         constants=constants,
         variables=variables,
     )
-
-
-def bao_oracle(inst: BAOInstance, lhs: Formula, rhs: Formula, bound: int = 3) -> OracleReport:
-    """Bounded counterexample search for the equation lhs = rhs."""
-    return inst.check_equal(lhs, rhs, bound)

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from ..bitsets import iter_bits, zero_bit_pattern
 from ..domain_system import Generator
@@ -44,7 +43,14 @@ BLOCK_MODELS = 1 << 12
 
 
 @dataclass(frozen=True)
-class OracleReport:
+class Report:
+    """An oracle's verdict on one check; only ``Oracle.check`` builds one.
+
+    ``contexts`` counts the models checked: all of them when ``ok``, else
+    those up to and including the first failing one, which
+    ``countermodel`` describes.
+    """
+
     ok: bool
     exact: bool
     contexts: int
@@ -118,13 +124,9 @@ class Context:
         """Model ``i`` of this block as a context of its own."""
         return self
 
-
-class Failure(NamedTuple):
-    """The first failing model of a check and the point it fails at."""
-
-    contexts: int  # models checked up to and including this one
-    context: Context
-    point: int
+    def at(self, point: int) -> dict:
+        """This model and one of its points, as a countermodel."""
+        return {"context": self.describe(), "point": self.point_desc(point)}
 
 
 class Oracle:
@@ -167,29 +169,32 @@ class Oracle:
                 f"{self.budget}"
             )
 
-    def first_failures(self, gen: Generator, bound: int, checks) -> tuple[int, list]:
+    def check(self, gen: Generator, bound: int, checks) -> list[Report]:
         """Run every check over every model up to ``bound``.
 
-        A check maps a block to the mask of its failing bits and is not run
-        again once it has failed.  Returns the number of models enumerated
-        and, per check, its ``Failure`` or None.
+        A check is a pair ``(fails, explain)``: ``fails`` maps a block to
+        the mask of its failing bits and is not run again once it has
+        failed; ``explain(ctx, point)`` describes the first failing model
+        and point as the report's countermodel.
         """
-        failures: list[Failure | None] = [None] * len(checks)
+        reports: list[Report | None] = [None] * len(checks)
         left = len(checks)
         done = 0
         for block in self.blocks(gen, bound):
-            for j, check in enumerate(checks):
-                if failures[j] is not None:
+            for j, (fails, explain) in enumerate(checks):
+                if reports[j] is not None:
                     continue
-                bad = check(block)
+                bad = fails(block)
                 if bad:
                     i, point = divmod((bad & -bad).bit_length() - 1, block.points)
-                    failures[j] = Failure(done + i + 1, block.model(i), point)
+                    reports[j] = Report(False, self.exact, done + i + 1, bound,
+                                        explain(block.model(i), point))
                     left -= 1
             done += block.models
             if not left:
                 break
-        return done, failures
+        ok = Report(True, self.exact, done, bound)
+        return [ok if r is None else r for r in reports]
 
     def vocab_for(self, f: Formula) -> Generator:
         props, conns = vocabulary(f)
@@ -199,21 +204,11 @@ class Oracle:
         return frozenset()
 
     def check_valid(self, f: Formula, bound: int = DEFAULT_BOUND,
-                    gen: Generator | None = None) -> OracleReport:
+                    gen: Generator | None = None) -> Report:
         """Is ``f`` true at every point of every model up to ``bound``?"""
         if gen is None:
             gen = self.vocab_for(f)
-        checked, (fail,) = self.first_failures(gen, bound, [lambda b: b.full ^ b.eval(f)])
-        if fail is None:
-            return OracleReport(ok=True, exact=self.exact, contexts=checked, bound=bound)
-        ctx = fail.context
-        return OracleReport(
-            ok=False,
-            exact=self.exact,
-            contexts=fail.contexts,
-            bound=bound,
-            countermodel={"context": ctx.describe(), "point": ctx.point_desc(fail.point)},
-        )
+        return self.check(gen, bound, [(lambda b: b.full ^ b.eval(f), Context.at)])[0]
 
 
 @dataclass

@@ -40,7 +40,7 @@ from ..syntax import (
     Or,
     Prop,
 )
-from .base import DEFAULT_BUDGET, OracleReport, PackedBlock, PackedOracle, Where, stacked
+from .base import DEFAULT_BUDGET, PackedBlock, PackedOracle, Where, stacked
 
 EQ = "="
 
@@ -371,8 +371,3 @@ class GFOracle(PackedOracle):
 
     def model_bits(self, gen: Generator, size: int) -> int:
         return sum(size ** arity for arity in self.inst.relations.values())
-
-
-def fo_oracle(inst: GFInstance, f: Formula, bound: int = 3) -> OracleReport:
-    """Bounded first-order verdict for a GF formula of ``inst``."""
-    return inst.oracle.check_valid(f, bound=bound)

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 from ..domain_system import DomainSystem, Generator
 from ..errors import EngineError
-from ..syntax import ConnectiveSig, Formula, LogicDef
-from .base import OracleReport, PackedOracle, RelationalBlock, Where, stacked
+from ..syntax import ConnectiveSig, LogicDef
+from .base import PackedOracle, RelationalBlock, Where, stacked
 
 POINT = "*"
 
@@ -96,8 +96,3 @@ def modal_k_instance(diamonds=("dia",), propositions=None) -> ModalKInstance:
         propositions=frozenset(propositions) if propositions is not None else None,
     )
     return ModalKInstance(logic=logic, oracle=oracle, diamonds=sigs)
-
-
-def kripke_oracle(f: Formula, bound: int = 3) -> OracleReport:
-    """Bounded-model verdict for ``f`` over its own vocabulary."""
-    return KripkeOracle().check_valid(f, bound=bound)

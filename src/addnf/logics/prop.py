@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from ..bitsets import zero_bit_pattern
 from ..domain_system import DomainSystem, Generator
 from ..errors import BudgetExceeded, EngineError
-from ..syntax import Formula, LogicDef, vocabulary
-from .base import Context, Oracle, OracleReport
+from ..syntax import LogicDef
+from .base import Context, Oracle
 
 POINT = "*"
 
@@ -87,12 +87,3 @@ def propositional_instance(propositions=None) -> PropositionalInstance:
         propositions=frozenset(propositions) if propositions is not None else None,
     )
     return PropositionalInstance(logic=logic, oracle=oracle)
-
-
-def prop_oracle(f: Formula, X=None) -> OracleReport:
-    """Exact truth-table verdict for ``f`` over ``X`` (default: its own props)."""
-    props, _ = vocabulary(f)
-    if X is not None:
-        props = frozenset(X) | props
-    gen = Generator(0, props, frozenset(), frozenset())
-    return TruthTableOracle().check_valid(f, bound=0, gen=gen)

@@ -21,6 +21,7 @@ from .bitsets import iter_bits
 from .constituents import DEFAULT_CAP, ConstituentSpace, space
 from .domain_system import DomainSystem, Generator, suitable
 from .errors import EngineError, UnsuitableGenerator
+from .logics.base import Report
 from .syntax import And, App, Formula, Not, Or, Prop, disj_all
 
 
@@ -133,25 +134,7 @@ def disjunction(result: NormalizationResult) -> Formula:
     return disj_all([sp.formula(i) for i in sorted(result.sigma)])
 
 
-@dataclass(frozen=True)
-class VerifyReport:
-    ok: bool
-    exact: bool
-    contexts: int
-    bound: int
-    countermodel: dict | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "exact": self.exact,
-            "contexts": self.contexts,
-            "bound": self.bound,
-            "countermodel": self.countermodel,
-        }
-
-
-def verify(f: Formula, result: NormalizationResult, oracle, bound: int = 3) -> VerifyReport:
+def verify(f: Formula, result: NormalizationResult, oracle, bound: int = 3) -> Report:
     """Search for a model point separating ``f`` from its disjunction.
 
     Exact for exact oracles, refutation-complete only up to ``bound``
@@ -160,7 +143,7 @@ def verify(f: Formula, result: NormalizationResult, oracle, bound: int = 3) -> V
     return verify_many(result.space, [(f, result.sigma)], oracle, bound)[0]
 
 
-def verify_many(sp: ConstituentSpace, items, oracle, bound: int = 3) -> list[VerifyReport]:
+def verify_many(sp: ConstituentSpace, items, oracle, bound: int = 3) -> list[Report]:
     """``verify`` for many (formula, sigma) pairs on one space.
 
     Each block of models is evaluated once for the whole batch: the
@@ -168,40 +151,23 @@ def verify_many(sp: ConstituentSpace, items, oracle, bound: int = 3) -> list[Ver
     disjunction is evaluated member by member (disjunction of truths
     equals truth of the disjunction).
     """
-    items = list(items)
     checks = [_differs(f, [sp.formula(i) for i in sorted(sigma)]) for f, sigma in items]
-    checked, failures = oracle.first_failures(sp.gen, bound, checks)
-    ok = VerifyReport(ok=True, exact=oracle.exact, contexts=checked, bound=bound)
-    reports = []
-    for (f, _), fail in zip(items, failures):
-        if fail is None:
-            reports.append(ok)
-            continue
-        ctx, point = fail.context, fail.point
-        holds = bool(ctx.eval(f) >> point & 1)
-        reports.append(VerifyReport(
-            ok=False,
-            exact=oracle.exact,
-            contexts=fail.contexts,
-            bound=bound,
-            countermodel={
-                "context": ctx.describe(),
-                "point": ctx.point_desc(point),
-                "formula_holds": holds,
-                "disjunction_holds": not holds,
-            },
-        ))
-    return reports
+    return oracle.check(sp.gen, bound, checks)
 
 
 def _differs(f: Formula, members: list[Formula]):
-    """Check: the points of a block where ``f`` and the disjunction of
-    ``members`` differ."""
-    def check(block) -> int:
+    """The check that ``f`` agrees with the disjunction of ``members``:
+    the points of a block where they differ, and a failing point described."""
+    def fails(block) -> int:
         dm = 0
         for g in members:
             dm |= block.eval(g)
             if dm == block.full:
                 break
         return block.eval(f) ^ dm
-    return check
+
+    def explain(ctx, point) -> dict:
+        holds = bool(ctx.eval(f) >> point & 1)
+        return {**ctx.at(point), "formula_holds": holds, "disjunction_holds": not holds}
+
+    return fails, explain

@@ -362,15 +362,16 @@ def _interpret(root, logic: LogicDef) -> Formula:
                     raise UnknownSymbolError(f"unknown connective {h!r}", head.line, head.col)
                 done.append(result)
                 continue
-            build, rank = partial(_app, sig, logic, head), sig.rank
+            build, rank = partial(_app, sig, logic), sig.rank
         _expect_arity(h, args, rank, head)
         todo.append((build, rank))
         todo.extend(reversed(args))
     return done[0]
 
 
-def _app(sig: ConnectiveSig, logic: LogicDef, head: _Token, *args: Formula) -> Formula:
-    _check_domain(sig, args, logic, head)
+def _app(sig: ConnectiveSig, logic: LogicDef, *args: Formula) -> Formula:
+    if logic.domain is not None:
+        _check_domain(sig, args, logic.domain)
     return App(sig, args)
 
 
@@ -389,10 +390,8 @@ def _expect_arity(head, args, rank, tok):
         raise ParseError(f"{head!r} takes {rank} argument(s), got {len(args)}", tok.line, tok.col)
 
 
-def _check_domain(sig: ConnectiveSig, args, logic: LogicDef, tok) -> None:
-    ds = logic.domain
-    if ds is None:
-        return
+def _check_domain(sig: ConnectiveSig, args, ds) -> None:
+    """Raise ``DomainViolation`` for the first argument outside its domain."""
     failures = ds.domain_failures(sig, args)
     if failures:
         i, it, border = failures[0]
@@ -410,13 +409,7 @@ def validate_domains(f: Formula, ds) -> None:
         validate_domains(f.left, ds)
         validate_domains(f.right, ds)
     elif isinstance(f, App):
-        failures = ds.domain_failures(f.conn, f.args)
-        if failures:
-            i, it, border = failures[0]
-            raise DomainViolation(
-                f"argument {i} of {f.conn.key} is outside its domain: "
-                f"iota={sorted(it)} is not a subset of j2={sorted(border)}"
-            )
+        _check_domain(f.conn, f.args, ds)
         for a in f.args:
             validate_domains(a, ds)
 

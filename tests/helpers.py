@@ -360,14 +360,15 @@ def per_model_partition_check(sp, oracle, bound):
             trues = [i for i, m in enumerate(masks) if m >> point & 1]
             if len(trues) != 1:
                 return {
-                    "ok": False, "exact": oracle.exact, "contexts": checked,
-                    "counterexample": {
+                    "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
+                    "countermodel": {
                         "context": ctx.describe(),
                         "point": ctx.point_desc(point),
                         "members_true": trues,
                     },
                 }
-    return {"ok": True, "exact": oracle.exact, "contexts": checked, "counterexample": None}
+    return {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
+            "countermodel": None}
 
 
 def per_model_check_valid(oracle, f, bound, gen):

@@ -156,7 +156,7 @@ def test_criterion_4_partition():
     for k in (0, 1):
         sp = space(Generator(k, {"p"}, {dia}, MODAL.domain.points), MODAL.domain)
         rep = partition_check(sp, MODAL.oracle, 3)
-        assert rep.ok, (k, rep.counterexample)
+        assert rep.ok, (k, rep.countermodel)
 
     # guarded fragment, one binary relation, X' = {v}
     sp = space(Generator(0, frozenset(GF.atoms), frozenset(), {"v"}), GF.domain)
@@ -165,13 +165,13 @@ def test_criterion_4_partition():
     quants = frozenset(GF1.quantifier(b, atom) for b in [(), ("v",)])
     sp = space(Generator(1, {atom}, quants, {"v"}), GF1.domain)
     rep = partition_check(sp, GF1.oracle, 3)
-    assert rep.ok, rep.counterexample
+    assert rep.ok, rep.countermodel
 
     fsig = BAO.logic.connectives["f"]
     for k in (0, 1):
         sp = space(Generator(k, {"x"}, {fsig}, BAO.domain.points), BAO.domain)
         rep = partition_check(sp, BAO.oracle, 3)
-        assert rep.ok, (k, rep.counterexample)
+        assert rep.ok, (k, rep.countermodel)
     _passline(4, "partition property", t0, 300)
 
 

@@ -5,6 +5,7 @@ models as the independent ``helpers.reference_models`` does, block masks
 match the reference evaluators of ``helpers`` bit for bit on every model,
 and the block-based reports of verify, verify_many, partition_check,
 check_valid and BAO check_equal match the per-model reference loops.
+Every one of those checks returns the one ``Report`` shape.
 """
 import itertools
 import random
@@ -30,6 +31,7 @@ from addnf import (
     Not,
     Or,
     Prop,
+    Report,
     derive_generator,
     normalize,
     parse_formula,
@@ -197,7 +199,7 @@ def test_a_broken_member_is_found_by_partition_check(swap):
     report = partition_check(broken, inst.oracle, 3)
     assert not report.ok
     if not swap:
-        assert report.counterexample["members_true"] == [3, 5]
+        assert report.countermodel["members_true"] == [3, 5]
     assert report.to_json() == per_model_partition_check(broken, inst.oracle, 3)
 
 
@@ -345,8 +347,51 @@ def test_packed_reports_match_the_per_model_loop(name):
         lhs, rhs = formulas[0], Or(formulas[0], And(formulas[1], Not(formulas[1])))
         (p1, c1), (p2, c2) = vocabulary(lhs), vocabulary(rhs)
         own = Generator(0, p1 | p2, c1 | c2, frozenset())
-        assert inst.check_equal(lhs, rhs, bound).to_json() == \
+        assert oracle.check_equal(lhs, rhs, bound).to_json() == \
             per_model_check_equal(oracle, lhs, rhs, bound, own)
+
+
+REPORT_KEYS = {"ok", "exact", "contexts", "bound", "countermodel"}
+
+
+def _report_shapes(inst, gen, bound, formulas, held):
+    """(check name, report) for a passing and a failing run of each check."""
+    oracle = inst.oracle
+    sp = space(gen, inst.domain)
+    f = formulas[0]
+    r = normalize(f, gen, inst.domain)
+    wrong = type(r)(generator=gen, sigma=_flip(r.sigma, held[0]), space=sp)
+    yield "verify", verify(f, r, oracle, bound)
+    yield "verify", verify(f, wrong, oracle, bound)
+    for rep in verify_many(sp, [(f, r.sigma), (f, wrong.sigma)], oracle, bound):
+        yield "verify_many", rep
+    yield "partition_check", partition_check(sp, oracle, bound)
+    yield "partition_check", partition_check(_broken(sp, *held, True), oracle, bound)
+    yield "check_valid", oracle.check_valid(Or(f, Not(f)), bound, gen)
+    yield "check_valid", oracle.check_valid(And(f, Not(f)), bound, gen)
+    if hasattr(oracle, "check_equal"):
+        yield "check_equal", oracle.check_equal(f, Or(f, And(f, Not(f))), bound, gen)
+        yield "check_equal", oracle.check_equal(f, Not(f), bound, gen)
+
+
+@pytest.mark.parametrize("name", ["modal", *sorted(CASES)])
+def test_every_check_returns_one_report_shape(name):
+    if name == "modal":
+        inst = modal_k_instance()
+        gen = Generator(1, {"p"}, set(inst.diamonds), inst.domain.points)
+        bound, formulas = 3, [parse_formula("(or p (dia (not p)))", inst.logic)]
+    else:
+        inst, gen, bound, formulas = _case(name)
+    held = _held(inst.oracle, gen, bound, space(gen, inst.domain))
+    verdicts = {}
+    for check, rep in _report_shapes(inst, gen, bound, formulas, held):
+        assert type(rep) is Report, check
+        doc = rep.to_json()
+        assert set(doc) == REPORT_KEYS, check
+        assert doc["bound"] == bound and (doc["countermodel"] is None) == doc["ok"], check
+        verdicts.setdefault(check, []).append(doc["ok"])
+    for check, oks in verdicts.items():
+        assert oks == [True, False], check
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -58,6 +58,7 @@ def test_partition_check(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and doc["contexts"] == 68
+    assert set(doc) == {"key", "size", "ok", "exact", "contexts", "bound", "countermodel"}
 
 
 def test_parse_command(capsys):
@@ -75,11 +76,11 @@ def test_verify_exact(capsys):
 
 def test_verify_exit_code_on_countermodel(capsys, monkeypatch):
     import addnf.cli as cli
-    from addnf.rewriter import VerifyReport
+    from addnf import Report
 
     monkeypatch.setattr(
         cli, "verify",
-        lambda *a, **k: VerifyReport(False, True, 1, 0, {"context": {}, "point": {}}),
+        lambda *a, **k: Report(False, True, 1, 0, {"context": {}, "point": {}}),
     )
     code, out, _ = run(capsys, "verify", "--logic", "prop", "(or p (not p))")
     assert code == 2

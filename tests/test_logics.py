@@ -17,16 +17,7 @@ from addnf import (
     parse_formula,
     space,
 )
-from addnf.logics import (
-    bao_oracle,
-    build_instance,
-    fo_oracle,
-    gf_instance,
-    gf_validate,
-    kripke_oracle,
-    modal_k_instance,
-    prop_oracle,
-)
+from addnf.logics import build_instance, gf_instance, gf_validate, modal_k_instance
 from helpers import random_gf_case
 
 
@@ -35,28 +26,29 @@ from helpers import random_gf_case
 
 def test_prop_oracle(prop_inst):
     logic = prop_inst.logic
-    assert prop_oracle(parse_formula("(or p (not p))", logic)).ok
-    rep = prop_oracle(parse_formula("(or p q)", logic))
+    assert prop_inst.oracle.check_valid(parse_formula("(or p (not p))", logic)).ok
+    rep = prop_inst.oracle.check_valid(parse_formula("(or p q)", logic))
     assert not rep.ok and rep.exact
     assert rep.countermodel["point"]["assignment"] == {"p": False, "q": False}
     # p is equivalent to the two-minterm disjunction over {p, q}
     f = parse_formula("(iff p (or (and p q) (and p (not q))))", logic)
-    assert prop_oracle(f).ok
+    assert prop_inst.oracle.check_valid(f).ok
     g = parse_formula("(iff (and p (not p)) (and q (not q)))", logic)
-    assert prop_oracle(g).ok
+    assert prop_inst.oracle.check_valid(g).ok
 
 
 def test_kripke_oracle_additivity(modal_inst):
     logic = modal_inst.logic
     f = parse_formula("(iff (dia (or p q)) (or (dia p) (dia q)))", logic)
-    rep = kripke_oracle(f, 3)
+    rep = modal_inst.oracle.check_valid(f, 3)
     assert rep.ok and not rep.exact and rep.contexts == 33032
 
 
 def test_kripke_oracle_finds_countermodels(modal_inst):
     logic = modal_inst.logic
-    assert kripke_oracle(parse_formula("(not (and (dia p) (not (dia p))))", logic), 3).ok
-    rep = kripke_oracle(parse_formula("(imp (dia p) p)", logic), 2)
+    f = parse_formula("(not (and (dia p) (not (dia p))))", logic)
+    assert modal_inst.oracle.check_valid(f, 3).ok
+    rep = modal_inst.oracle.check_valid(parse_formula("(imp (dia p) p)", logic), 2)
     assert not rep.ok
     assert "relations" in rep.countermodel["context"]
 
@@ -65,7 +57,7 @@ def test_kripke_budget_guard():
     inst = modal_k_instance(("d1", "d2"))
     f = parse_formula("(or (d1 (and p q)) (d2 r))", inst.logic)
     with pytest.raises(BudgetExceeded):
-        kripke_oracle(f, 3)
+        inst.oracle.check_valid(f, 3)
 
 
 def test_fo_oracle(gf_r):
@@ -74,39 +66,39 @@ def test_fo_oracle(gf_r):
         "(iff (ex (u) (R u v) (R u v)) (ex (u) (R u v) (or (R u v) (not (R u v)))))",
         logic,
     )
-    assert fo_oracle(gf_r, taut, 2).ok
+    assert gf_r.oracle.check_valid(taut, 2).ok
     unsat = parse_formula("(and (R v v) (not (R v v)))", logic)
-    assert fo_oracle(gf_r, Not(unsat), 3).ok
+    assert gf_r.oracle.check_valid(Not(unsat), 3).ok
     wrong = parse_formula("(imp (ex (u) (R u v) (R u v)) (R v v))", logic)
-    rep = fo_oracle(gf_r, wrong, 2)
+    rep = gf_r.oracle.check_valid(wrong, 2)
     assert not rep.ok and "relations" in rep.countermodel["context"]
 
 
 def test_fo_oracle_with_equality():
     inst = gf_instance(("u", "v"), {"R": 2}, equality=True)
-    assert fo_oracle(inst, parse_formula("(= u u)", inst.logic), 3).ok
-    rep = fo_oracle(inst, parse_formula("(= u v)", inst.logic), 2)
+    assert inst.oracle.check_valid(parse_formula("(= u u)", inst.logic), 3).ok
+    rep = inst.oracle.check_valid(parse_formula("(= u v)", inst.logic), 2)
     assert not rep.ok
 
 
 def test_bao_axioms(bao_xy):
     logic = bao_xy.logic
     t = lambda s: parse_formula(s, logic)
-    assert bao_oracle(bao_xy, t("(f (plus x y))"), t("(plus (f x) (f y))"), 3).ok
-    assert bao_oracle(bao_xy, t("(f 0)"), t("0"), 3).ok
-    assert bao_oracle(bao_xy, t("(plus x (minus x))"), t("1"), 3).ok
+    assert bao_xy.oracle.check_equal(t("(f (plus x y))"), t("(plus (f x) (f y))"), 3).ok
+    assert bao_xy.oracle.check_equal(t("(f 0)"), t("0"), 3).ok
+    assert bao_xy.oracle.check_equal(t("(plus x (minus x))"), t("1"), 3).ok
     # meet-distribution is not an axiom; the search must refute it
-    rep = bao_oracle(bao_xy, t("(f (times x y))"), t("(times (f x) (f y))"), 3)
+    rep = bao_xy.oracle.check_equal(t("(f (times x y))"), t("(times (f x) (f y))"), 3)
     assert not rep.ok and rep.countermodel["lhs_value"] != rep.countermodel["rhs_value"]
-    assert not bao_oracle(bao_xy, t("x"), t("y"), 1).ok
+    assert not bao_xy.oracle.check_equal(t("x"), t("y"), 1).ok
 
 
 def test_bao_rank_two_operator():
     inst = build_instance("bao", {"operators": {"g": 2}, "variables": ["x", "y"]})
     t = lambda s: parse_formula(s, inst.logic)
-    rep = bao_oracle(inst, t("(g x (plus x y))"), t("(plus (g x x) (g x y))"), 2)
+    rep = inst.oracle.check_equal(t("(g x (plus x y))"), t("(plus (g x x) (g x y))"), 2)
     assert rep.ok
-    rep = bao_oracle(inst, t("(g x 0)"), t("0"), 2)
+    rep = inst.oracle.check_equal(t("(g x 0)"), t("0"), 2)
     assert rep.ok
 
 
@@ -285,19 +277,19 @@ def test_bao_degree_one_forms_sum_to_unit(bao_x):
     r = normalize(bao_x.unit(), gen, bao_x.domain)
     assert r.sigma == frozenset(range(8))
     total = disjunction(r)
-    assert bao_x.check_equal(total, bao_x.unit(), 3).ok
+    assert bao_x.oracle.check_equal(total, bao_x.unit(), 3).ok
     sp = space(gen, bao_x.domain)
     for i in range(sp.size):
         for j in range(i + 1, sp.size):
             meet = And(sp.formula(i), sp.formula(j))
-            assert bao_x.check_equal(meet, bao_x.zero(), 2).ok
+            assert bao_x.oracle.check_equal(meet, bao_x.zero(), 2).ok
 
 
 def test_modal_diamond_additivity_of_instance(modal_inst):
     # the semantic counterpart of requiring additive connectives
     logic = modal_inst.logic
     f = parse_formula("(iff (dia (or p (not q))) (or (dia p) (dia (not q))))", logic)
-    assert kripke_oracle(f, 2).ok
+    assert modal_inst.oracle.check_valid(f, 2).ok
 
 
 def test_build_instance_registry():
