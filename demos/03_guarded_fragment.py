@@ -25,7 +25,7 @@ ds = inst.domain
 # free(S v) = {v} fits under free(R u v) = {u, v}: accepted.
 ok = parse_formula("(ex (u) (R u v) (S v))", inst.logic)
 print("accepted:", render_formula(ok))
-print("free variables:", sorted(inst.free(ok)), "= iota:", sorted(ds.iota(ok)))
+print("free variables (iota):", sorted(ds.iota(ok)))
 
 # free(S v) = {v} does not fit under free(R u u) = {u}: rejected.
 try:

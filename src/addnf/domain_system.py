@@ -185,7 +185,7 @@ class Generator:
         object.__setattr__(self, "Y", frozenset(self.Y))
         object.__setattr__(self, "E", frozenset(self.E))
         if self.k < 0:
-            raise ValueError("degree must be a natural number")
+            raise EngineError(f"degree must be a natural number, got {self.k}")
 
     @property
     def key(self) -> tuple:

@@ -3,17 +3,44 @@ from __future__ import annotations
 
 from ..errors import EngineError
 from .bao import BAOInstance, ComplexAlgebraOracle, bao_instance
-from .base import DEFAULT_BOUND, Oracle, Report
+from .base import DEFAULT_BOUND, Instance, Oracle, Report
 from .gf import GFInstance, GFOracle, gf_instance, gf_validate
 from .modal import KripkeOracle, ModalKInstance, modal_k_instance
-from .prop import PropositionalInstance, TruthTableOracle, propositional_instance
+from .prop import TruthTableOracle, propositional_instance
 
 LOGIC_IDS = ("prop", "modal-k", "gf", "bao")
 
 
-def build_instance(logic_id: str, config: dict | None = None):
+def _names(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(x, str) for x in value)
+
+
+def _arities(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(k, str) and type(n) is int for k, n in value.items()
+    )
+
+
+# Each config key: (the check its value must pass, what the check asks for).
+_CONFIG_TYPES = {
+    "propositions": (lambda v: v is None or _names(v), "a list of names or null"),
+    "diamonds": (_names, "a list of names"),
+    "variables": (_names, "a list of names"),
+    "constants": (_names, "a list of names"),
+    "relations": (_arities, "an object mapping names to integer arities"),
+    "operators": (_arities, "an object mapping names to integer ranks"),
+    "equality": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def build_instance(logic_id: str, config: dict | None = None) -> Instance:
     """Construct one of the shipped instances from a plain config dict."""
     config = dict(config or {})
+    for key, value in config.items():
+        if key in _CONFIG_TYPES:
+            check, what = _CONFIG_TYPES[key]
+            if not check(value):
+                raise EngineError(f"config key {key!r} must be {what}, got {value!r}")
     if logic_id == "prop":
         return propositional_instance(config.get("propositions"))
     if logic_id == "modal-k":
@@ -25,7 +52,7 @@ def build_instance(logic_id: str, config: dict | None = None):
         return gf_instance(
             tuple(config.get("variables", ("u", "v"))),
             config.get("relations", {"R": 2}),
-            bool(config.get("equality", False)),
+            config.get("equality", False),
         )
     if logic_id == "bao":
         return bao_instance(
@@ -42,11 +69,11 @@ __all__ = [
     "DEFAULT_BOUND",
     "GFInstance",
     "GFOracle",
+    "Instance",
     "KripkeOracle",
     "LOGIC_IDS",
     "ModalKInstance",
     "Oracle",
-    "PropositionalInstance",
     "Report",
     "TruthTableOracle",
     "bao_instance",

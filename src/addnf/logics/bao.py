@@ -23,12 +23,14 @@ Kripke layout, so blocks of algebras are evaluated by the shared
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 from ..domain_system import DomainSystem, Generator
 from ..errors import EngineError
 from ..syntax import And, ConnectiveSig, Formula, LogicDef, Not, Or, Prop, render_formula
-from .base import DEFAULT_BOUND, PackedOracle, RelationalBlock, Report, Where, mask_to_list, stacked
+from .base import (DEFAULT_BOUND, Instance, PackedOracle, RelationalBlock, Report, Where,
+                   mask_to_list, stacked)
 
 POINT = "*"
 
@@ -86,29 +88,31 @@ class ComplexAlgebraOracle(PackedOracle):
         return self.check(gen, bound, [(lambda b: b.eval(lhs) ^ b.eval(rhs), explain)])[0]
 
 
+def _zero_one(least: str, token: str) -> Formula | None:
+    """The literal ``0`` or ``1`` over the least symbol; None for other tokens."""
+    d = Prop(least)
+    if token == "0":
+        return And(d, Not(d))
+    if token == "1":
+        return Or(d, Not(d))
+    return None
+
+
 @dataclass
-class BAOInstance:
-    logic: LogicDef = field(repr=False)
-    oracle: ComplexAlgebraOracle = field(repr=False)
+class BAOInstance(Instance):
     operators: dict[str, int]
     constants: tuple[str, ...]
     variables: tuple[str, ...]
-
-    @property
-    def domain(self) -> DomainSystem:
-        return self.logic.domain
 
     @property
     def least_symbol(self) -> str:
         return min(self.variables + self.constants)
 
     def zero(self) -> Formula:
-        d = Prop(self.least_symbol)
-        return And(d, Not(d))
+        return _zero_one(self.least_symbol, "0")
 
     def unit(self) -> Formula:
-        d = Prop(self.least_symbol)
-        return Or(d, Not(d))
+        return _zero_one(self.least_symbol, "1")
 
     def render_term(self, f: Formula) -> str:
         return render_formula(f, self.logic)
@@ -138,32 +142,20 @@ def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
         j2={s.key: v for s in sigs.values()},
         iota_default=v,
     )
-    oracle = ComplexAlgebraOracle()
-    least = min(symbols)
-
-    def zero_one(token: str):
-        d = Prop(least)
-        if token == "0":
-            return And(d, Not(d))
-        if token == "1":
-            return Or(d, Not(d))
-        return None
-
     logic = LogicDef(
         name="bao",
         domain=ds,
-        oracle=oracle,
         connectives=sigs,
         propositions=frozenset(symbols),
         spell_not="minus",
         spell_and="times",
         spell_or="plus",
         sugar=False,
-        token_form=zero_one,
+        token_form=partial(_zero_one, min(symbols)),
     )
     return BAOInstance(
         logic=logic,
-        oracle=oracle,
+        oracle=ComplexAlgebraOracle(),
         operators=operators,
         constants=constants,
         variables=variables,

@@ -27,12 +27,12 @@ context is a one-model block; the truth-table oracle has only that one.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..bitsets import iter_bits, zero_bit_pattern
-from ..domain_system import Generator
+from ..domain_system import DomainSystem, Generator
 from ..errors import BudgetExceeded, EngineError
-from ..syntax import And, App, Formula, Not, Or, Prop, vocabulary
+from ..syntax import And, App, Formula, LogicDef, Not, Or, Prop, vocabulary
 
 DEFAULT_BOUND = 3
 DEFAULT_BUDGET = 2_000_000
@@ -48,13 +48,14 @@ class Report:
 
     ``contexts`` counts the models checked: all of them when ``ok``, else
     those up to and including the first failing one, which
-    ``countermodel`` describes.
+    ``countermodel`` describes.  ``bound`` is the model-size bound, None
+    for an exact oracle, which has none.
     """
 
     ok: bool
     exact: bool
     contexts: int
-    bound: int
+    bound: int | None
     countermodel: dict | None = None
 
     def to_json(self) -> dict:
@@ -130,19 +131,22 @@ class Context:
 
 
 class Oracle:
-    """Base bounded-model oracle; subclasses enumerate their contexts."""
+    """Base bounded-model oracle; subclasses enumerate their models as blocks."""
 
     exact = False
 
     def __init__(self, budget: int = DEFAULT_BUDGET):
         self.budget = budget
 
-    def contexts(self, gen: Generator, bound: int):
+    def blocks(self, gen: Generator, bound: int):
+        """The models up to ``bound`` as blocks, in enumeration order."""
         raise NotImplementedError
 
-    def blocks(self, gen: Generator, bound: int):
-        """The models up to ``bound`` as blocks, in ``contexts`` order."""
-        return self.contexts(gen, bound)
+    def contexts(self, gen: Generator, bound: int):
+        """Each model up to ``bound`` as a context of its own."""
+        for block in self.blocks(gen, bound):
+            for i in range(block.models):
+                yield block.model(i)
 
     def model_bits(self, gen: Generator, size: int) -> int:
         """log2 of the number of models of one size."""
@@ -163,6 +167,8 @@ class Oracle:
         return total
 
     def guard(self, gen: Generator, bound: int) -> None:
+        if bound < 1:
+            raise EngineError(f"the model-size bound must be at least 1, got {bound}")
         if self.estimate_contexts(gen, bound, self.budget) > self.budget:
             raise BudgetExceeded(
                 f"more than {self.budget} models at bound {bound} exceed the budget "
@@ -180,6 +186,7 @@ class Oracle:
         reports: list[Report | None] = [None] * len(checks)
         left = len(checks)
         done = 0
+        shown = None if self.exact else bound
         for block in self.blocks(gen, bound):
             for j, (fails, explain) in enumerate(checks):
                 if reports[j] is not None:
@@ -187,13 +194,13 @@ class Oracle:
                 bad = fails(block)
                 if bad:
                     i, point = divmod((bad & -bad).bit_length() - 1, block.points)
-                    reports[j] = Report(False, self.exact, done + i + 1, bound,
+                    reports[j] = Report(False, self.exact, done + i + 1, shown,
                                         explain(block.model(i), point))
                     left -= 1
             done += block.models
             if not left:
                 break
-        ok = Report(True, self.exact, done, bound)
+        ok = Report(True, self.exact, done, shown)
         return [ok if r is None else r for r in reports]
 
     def vocab_for(self, f: Formula) -> Generator:
@@ -209,6 +216,21 @@ class Oracle:
         if gen is None:
             gen = self.vocab_for(f)
         return self.check(gen, bound, [(lambda b: b.full ^ b.eval(f), Context.at)])[0]
+
+
+@dataclass
+class Instance:
+    """A logic instance: its syntax and domain system, and its oracle.
+
+    Instances that need more of their logic's vocabulary subclass it.
+    """
+
+    logic: LogicDef = field(repr=False)
+    oracle: Oracle = field(repr=False)
+
+    @property
+    def domain(self) -> DomainSystem:
+        return self.logic.domain
 
 
 @dataclass
@@ -301,14 +323,7 @@ class PackedOracle(Oracle):
     def where(self, gen: Generator, size: int) -> Where:
         raise NotImplementedError
 
-    def contexts(self, gen: Generator, bound: int):
-        """Each model up to ``bound`` as a one-model block."""
-        return self._blocks(gen, bound, single=True)
-
     def blocks(self, gen: Generator, bound: int):
-        return self._blocks(gen, bound, single=False)
-
-    def _blocks(self, gen: Generator, bound: int, single: bool):
         self.guard(gen, bound)
         for size in range(1, bound + 1):
             key = (size, gen.X, gen.Y, gen.E)
@@ -317,8 +332,6 @@ class PackedOracle(Oracle):
                 layout = _BlockLayout(self.where(gen, size), self.model_bits(gen, size),
                                       BLOCK_MODELS)
                 self._layouts[key] = layout
-            if single:
-                layout = layout.single()
             for start in range(0, layout.count, layout.models):
                 yield self.block_type(layout, start)
 

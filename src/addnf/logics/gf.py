@@ -25,7 +25,7 @@ the lowest failing bit of a model is its first failing assignment to E.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..domain_system import DomainSystem, Generator
 from ..errors import DomainViolation, EngineError, ParseError
@@ -39,8 +39,9 @@ from ..syntax import (
     Not,
     Or,
     Prop,
+    _node_pos,
 )
-from .base import DEFAULT_BUDGET, PackedBlock, PackedOracle, Where, stacked
+from .base import DEFAULT_BUDGET, Instance, PackedBlock, PackedOracle, Where, stacked
 
 EQ = "="
 
@@ -49,19 +50,20 @@ def _atom_id(rel: str, args) -> str:
     return f"({rel} {' '.join(args)})"
 
 
+def _quantifier(connectives: dict[str, ConnectiveSig], bound, guard_id: str) -> ConnectiveSig:
+    key = ConnectiveSig("ex", 1, payload=GuardPayload(tuple(sorted(bound)), guard_id)).key
+    sig = connectives.get(key)
+    if sig is None:
+        raise EngineError(f"no such quantifier {key!r} in this instance")
+    return sig
+
+
 @dataclass
-class GFInstance:
-    logic: LogicDef = field(repr=False)
-    oracle: "GFOracle" = field(repr=False)
+class GFInstance(Instance):
     variables: tuple[str, ...]
     relations: dict[str, int]
     equality: bool
     atoms: dict[str, tuple[str, tuple[str, ...]]]
-    connectives: dict[str, ConnectiveSig]
-
-    @property
-    def domain(self) -> DomainSystem:
-        return self.logic.domain
 
     def atom(self, rel: str, *args: str) -> str:
         aid = _atom_id(rel, args)
@@ -70,30 +72,13 @@ class GFInstance:
         return aid
 
     def quantifier(self, bound, guard_id: str) -> ConnectiveSig:
-        key = ConnectiveSig("ex", 1, payload=GuardPayload(tuple(sorted(bound)), guard_id)).key
-        sig = self.connectives.get(key)
-        if sig is None:
-            raise EngineError(f"no such quantifier {key!r} in this instance")
-        return sig
-
-    def free(self, f: Formula) -> frozenset[str]:
-        """Free variables, computed from the syntax alone."""
-        if isinstance(f, Prop):
-            return frozenset(self.atoms[f.name][1])
-        if isinstance(f, Not):
-            return self.free(f.child)
-        if isinstance(f, (And, Or)):
-            return self.free(f.left) | self.free(f.right)
-        if isinstance(f, App):
-            payload = f.conn.payload
-            guard_vars = frozenset(self.atoms[payload.guard][1])
-            return (guard_vars | self.free(f.args[0])) - frozenset(payload.bound)
-        raise TypeError(f"not a formula: {f!r}")
+        return _quantifier(self.logic.connectives, bound, guard_id)
 
 
 def gf_validate(f: Formula, inst: GFInstance) -> bool:
     """Independent grammar check: atoms, boolean closure, guarded quantifiers
-    whose guard covers the body's free variables and the bound tuple."""
+    whose guard covers the bound tuple and the body's free variables (its
+    iota)."""
     if isinstance(f, Prop):
         return f.name in inst.atoms
     if isinstance(f, Not):
@@ -107,9 +92,7 @@ def gf_validate(f: Formula, inst: GFInstance) -> bool:
         guard_vars = frozenset(inst.atoms[payload.guard][1])
         if not frozenset(payload.bound) <= guard_vars:
             return False
-        if not inst.free(f.args[0]) <= guard_vars:
-            return False
-        return gf_validate(f.args[0], inst)
+        return gf_validate(f.args[0], inst) and inst.domain.iota(f.args[0]) <= guard_vars
     return False
 
 
@@ -157,17 +140,42 @@ def gf_instance(variables=("u", "v"), relations=None, equality: bool = False) ->
         j2=j2,
     )
 
-    inst = GFInstance(
-        logic=None,  # assigned below; the parse hooks close over the instance
-        oracle=None,
-        variables=variables,
-        relations=relations,
-        equality=equality,
-        atoms=atoms,
-        connectives=connectives,
-    )
+    def variable(node) -> str:
+        if isinstance(node, list) or node.text not in variables:
+            raise ParseError(f"expected a variable of {list(variables)}", *_node_pos(node))
+        return node.text
 
-    def parse_atom(head, args, head_tok):
+    def parse_compound(head, args, head_tok, interpret):
+        """A guarded quantifier ``(ex (vars) guard body)`` or a relational atom."""
+        if head == "ex":
+            if len(args) != 3:
+                raise ParseError("expected (ex (<vars>) <guard-atom> <body>)",
+                                 head_tok.line, head_tok.col)
+            vars_node, guard_node, body_node = args
+            if not isinstance(vars_node, list):
+                raise ParseError("expected a (possibly empty) variable list",
+                                 *_node_pos(vars_node))
+            bound = [variable(node) for node in vars_node[1:]]
+            guard = interpret(guard_node)
+            if not isinstance(guard, Prop) or guard.name not in atoms:
+                raise ParseError("the guard must be an atom", *_node_pos(guard_node))
+            guard_vars = frozenset(atoms[guard.name][1])
+            extra = frozenset(bound) - guard_vars
+            if extra:
+                raise ParseError(
+                    f"bound variables {sorted(extra)} do not occur in the guard {guard.name}",
+                    head_tok.line, head_tok.col,
+                )
+            sig = _quantifier(connectives, bound, guard.name)
+            body = interpret(body_node)
+            failures = ds.domain_failures(sig, (body,))
+            if failures:
+                _, it, border = failures[0]
+                raise DomainViolation(
+                    f"the body's free variables {sorted(it)} are not covered by "
+                    f"the guard {guard.name} over {sorted(border)}"
+                )
+            return App(sig, (body,))
         if head != EQ and head not in relations:
             return None
         if head == EQ and not equality:
@@ -177,77 +185,36 @@ def gf_instance(variables=("u", "v"), relations=None, equality: bool = False) ->
         if len(args) != arity:
             raise ParseError(f"{head!r} has arity {arity}, got {len(args)}",
                              head_tok.line, head_tok.col)
-        names = []
-        for node in args:
-            if isinstance(node, list) or node.text not in variables:
-                raise ParseError(f"expected a variable of {list(variables)}",
-                                 *_pos(node))
-            names.append(node.text)
-        return Prop(_atom_id(head, names))
+        return Prop(_atom_id(head, [variable(node) for node in args]))
 
-    def parse_ex(args, recurse, head_tok):
-        if len(args) != 3:
-            raise ParseError("expected (ex (<vars>) <guard-atom> <body>)",
-                             head_tok.line, head_tok.col)
-        vars_node, guard_node, body_node = args
-        if not isinstance(vars_node, list):
-            raise ParseError("expected a (possibly empty) variable list",
-                             *_pos(vars_node))
-        bound = []
-        for node in vars_node[1:]:
-            if isinstance(node, list) or node.text not in variables:
-                raise ParseError(f"expected a variable of {list(variables)}",
-                                 *_pos(node))
-            bound.append(node.text)
-        guard = recurse(guard_node)
-        if not isinstance(guard, Prop) or guard.name not in atoms:
-            raise ParseError("the guard must be an atom", *_pos(guard_node))
-        guard_vars = frozenset(atoms[guard.name][1])
-        extra = frozenset(bound) - guard_vars
-        if extra:
-            raise ParseError(
-                f"bound variables {sorted(extra)} do not occur in the guard {guard.name}",
-                head_tok.line, head_tok.col,
-            )
-        sig = inst.quantifier(bound, guard.name)
-        body = recurse(body_node)
-        failures = ds.domain_failures(sig, (body,))
-        if failures:
-            _, it, border = failures[0]
-            raise DomainViolation(
-                f"the body's free variables {sorted(it)} are not covered by "
-                f"the guard {guard.name} over {sorted(border)}"
-            )
-        return App(sig, (body,))
-
-    oracle = GFOracle(inst)
-    inst.logic = LogicDef(
+    logic = LogicDef(
         name="gf",
         domain=ds,
-        oracle=oracle,
         connectives=connectives,
         propositions=frozenset(atoms),
-        special_forms={"ex": parse_ex},
-        compound_form=parse_atom,
+        compound_form=parse_compound,
     )
-    inst.oracle = oracle
-    return inst
-
-
-def _pos(node):
-    tok = node[0] if isinstance(node, list) else node
-    return tok.line, tok.col
+    return GFInstance(
+        logic=logic,
+        oracle=GFOracle(variables, relations, atoms, ds),
+        variables=variables,
+        relations=relations,
+        equality=equality,
+        atoms=atoms,
+    )
 
 
 class _FOWhere(Where):
     """The relation codes of the structures of one size, and their points."""
 
     def __init__(self, size: int, relations: dict[str, tuple[int, int]],
-                 order: tuple[str, ...], assigned: tuple[str, ...], inst: GFInstance):
+                 order: tuple[str, ...], assigned: tuple[str, ...],
+                 atoms: dict[str, tuple[str, tuple[str, ...]]], domain: DomainSystem):
         super().__init__(size, size ** len(order), {}, relations)
         self.assigned = assigned
         self.stride = {v: size ** i for i, v in enumerate(order)}
-        self.inst = inst
+        self.atoms = atoms
+        self.domain = domain
         # zero[v]: the points of one model where v is 0
         self.zero = {
             v: sum(1 << p for p in range(self.points) if p // s % size == 0)
@@ -260,7 +227,7 @@ class _FOWhere(Where):
         one model when that bit of its ordinal is set (always, for None)."""
         out = self._spreads.get(atom_id)
         if out is None:
-            rel, vars_ = self.inst.atoms[atom_id]
+            rel, vars_ = self.atoms[atom_id]
             size = self.size
             strides = [self.stride[v] for v in vars_]
             off = None if rel == EQ else self.relations[rel][0]
@@ -290,7 +257,7 @@ class _FOBlock(PackedBlock):
     def eval(self, f: Formula) -> int:
         if id(f) not in self._admitted:
             where = self.layout.where
-            extra = where.inst.domain.iota(f) - frozenset(where.assigned)
+            extra = where.domain.iota(f) - frozenset(where.assigned)
             if extra:
                 raise EngineError(
                     f"variables {sorted(extra)} are free in the formula but not covered "
@@ -349,25 +316,31 @@ class GFOracle(PackedOracle):
     exact = False
     block_type = _FOBlock
 
-    def __init__(self, inst: GFInstance, budget: int = DEFAULT_BUDGET):
+    def __init__(self, variables: tuple[str, ...], relations: dict[str, int],
+                 atoms: dict[str, tuple[str, tuple[str, ...]]], domain: DomainSystem,
+                 budget: int = DEFAULT_BUDGET):
         super().__init__(budget)
-        self.inst = inst
+        self.variables = variables
+        self.relations = relations
+        self.atoms = atoms
+        self.domain = domain
 
     def assignment_vars(self, f: Formula) -> frozenset[str]:
-        return self.inst.free(f)
+        return self.domain.iota(f)
 
     def where(self, gen: Generator, size: int) -> _FOWhere:
-        rels = sorted(self.inst.relations.items())
+        rels = sorted(self.relations.items())
         offsets = stacked(0, [size ** arity for _, arity in rels])
         assigned = tuple(sorted(gen.E))
-        rest = tuple(v for v in self.inst.variables if v not in gen.E)
+        rest = tuple(v for v in self.variables if v not in gen.E)
         return _FOWhere(
             size,
             {name: (off, arity) for (name, arity), off in zip(rels, offsets)},
             assigned + rest,
             assigned,
-            self.inst,
+            self.atoms,
+            self.domain,
         )
 
     def model_bits(self, gen: Generator, size: int) -> int:
-        return sum(size ** arity for arity in self.inst.relations.values())
+        return sum(size ** arity for arity in self.relations.values())

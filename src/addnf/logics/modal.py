@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from ..domain_system import DomainSystem, Generator
 from ..errors import EngineError
 from ..syntax import ConnectiveSig, LogicDef
-from .base import PackedOracle, RelationalBlock, Where, stacked
+from .base import Instance, PackedOracle, RelationalBlock, Where, stacked
 
 POINT = "*"
 
@@ -66,14 +66,8 @@ class KripkeOracle(PackedOracle):
 
 
 @dataclass
-class ModalKInstance:
-    logic: LogicDef
-    oracle: KripkeOracle
+class ModalKInstance(Instance):
     diamonds: tuple[ConnectiveSig, ...]
-
-    @property
-    def domain(self) -> DomainSystem:
-        return self.logic.domain
 
 
 def modal_k_instance(diamonds=("dia",), propositions=None) -> ModalKInstance:
@@ -87,12 +81,10 @@ def modal_k_instance(diamonds=("dia",), propositions=None) -> ModalKInstance:
         j2={s.key: v for s in sigs},
         iota_default=v,
     )
-    oracle = KripkeOracle()
     logic = LogicDef(
         name="modal-k",
         domain=ds,
-        oracle=oracle,
         connectives={s.name: s for s in sigs},
         propositions=frozenset(propositions) if propositions is not None else None,
     )
-    return ModalKInstance(logic=logic, oracle=oracle, diamonds=sigs)
+    return ModalKInstance(logic=logic, oracle=KripkeOracle(), diamonds=sigs)

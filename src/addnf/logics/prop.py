@@ -5,13 +5,11 @@ is an exact truth table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..bitsets import zero_bit_pattern
 from ..domain_system import DomainSystem, Generator
 from ..errors import BudgetExceeded, EngineError
 from ..syntax import LogicDef
-from .base import Context, Oracle
+from .base import Context, Instance, Oracle
 
 POINT = "*"
 
@@ -46,7 +44,7 @@ class TruthTableOracle(Oracle):
 
     exact = True
 
-    def contexts(self, gen: Generator, bound: int):
+    def blocks(self, gen: Generator, bound: int):
         self.guard(gen, bound)
         yield _TruthTableContext(tuple(sorted(gen.X)))
 
@@ -60,17 +58,7 @@ class TruthTableOracle(Oracle):
             )
 
 
-@dataclass
-class PropositionalInstance:
-    logic: LogicDef
-    oracle: TruthTableOracle
-
-    @property
-    def domain(self) -> DomainSystem:
-        return self.logic.domain
-
-
-def propositional_instance(propositions=None) -> PropositionalInstance:
+def propositional_instance(propositions=None) -> Instance:
     """Build the instance; ``propositions=None`` accepts any identifier."""
     ds = DomainSystem(
         points=frozenset((POINT,)),
@@ -79,11 +67,9 @@ def propositional_instance(propositions=None) -> PropositionalInstance:
         j2={},
         iota_default=frozenset((POINT,)),
     )
-    oracle = TruthTableOracle()
     logic = LogicDef(
         name="prop",
         domain=ds,
-        oracle=oracle,
         propositions=frozenset(propositions) if propositions is not None else None,
     )
-    return PropositionalInstance(logic=logic, oracle=oracle)
+    return Instance(logic=logic, oracle=TruthTableOracle())

@@ -12,9 +12,9 @@ The parser takes linear time in the length of the text and does not
 recurse on nesting depth: one pass tokenizes and groups the text with an
 explicit stack of open lists, and a second pass interprets the groups
 from an explicit work stack.  Tokens carry only their offset; line and
-column are computed from it when an error is raised.  Only special-form
-hooks (the guarded quantifier ``ex``) call back into the interpreter, so
-nesting those costs Python stack.
+column are computed from it when an error is raised.  Only a logic's
+``compound_form`` hook (the guarded quantifier ``ex``) calls back into
+the interpreter, so nesting those costs Python stack.
 
 Everything here is an immutable value: formulas, signatures and logic
 definitions can be shared freely across threads once constructed.
@@ -190,39 +190,32 @@ def _fold(node, items):
 
 @dataclass
 class LogicDef:
-    """One logic instance: signature, spellings, domain system and oracle.
+    """One logic's syntax: signature, spellings and domain system.
 
     ``propositions`` controls which bare tokens parse as propositions:
     ``None`` accepts any identifier (an intensionally infinite universe),
-    a frozenset restricts to the given ids, a callable is used as a
-    predicate.  ``special_forms`` maps reserved heads (``ex``) to parse
-    hooks; ``compound_form`` handles otherwise-unknown heads (relational
-    atoms); ``token_form`` may rewrite bare tokens before proposition
-    lookup (algebraic ``0``/``1``).
+    a frozenset restricts to the given ids.  ``compound_form(head, args,
+    head_tok, interpret)`` handles heads that are neither boolean nor a
+    connective (guarded quantifiers, relational atoms), calling
+    ``interpret`` on the nodes it reads as formulas; ``token_form`` may
+    rewrite bare tokens before proposition lookup (algebraic ``0``/``1``).
     """
 
     name: str
     domain: object
     connectives: dict[str, ConnectiveSig] = field(default_factory=dict)
-    oracle: object | None = None
-    propositions: object | None = None
+    propositions: frozenset[str] | None = None
     spell_not: str = "not"
     spell_and: str = "and"
     spell_or: str = "or"
     sugar: bool = True
-    special_forms: dict[str, Callable] = field(default_factory=dict)
     compound_form: Callable | None = None
     token_form: Callable | None = None
 
     def accepts_prop(self, token: str) -> bool:
         if self.propositions is None:
             return bool(IDENT_RE.fullmatch(token))
-        if callable(self.propositions):
-            return bool(self.propositions(token))
         return token in self.propositions
-
-    def non_propositional(self) -> list[ConnectiveSig]:
-        return sorted(self.connectives.values(), key=lambda c: c.key)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +226,7 @@ class _Token(NamedTuple):
     """A token and its offset into the source text.
 
     ``line`` and ``col`` are worked out from the offset when asked for,
-    which happens only when an error is raised or a special form needs a
+    which happens only when an error is raised or a compound form needs a
     position, so tokenizing stays linear in the length of the text.
     """
 
@@ -349,15 +342,12 @@ def _interpret(root, logic: LogicDef) -> Formula:
         builtin = builtins.get(h)
         if builtin is not None:
             build, rank = builtin
-        elif h in logic.special_forms:
-            done.append(logic.special_forms[h](args, lambda n: _interpret(n, logic), head))
-            continue
         else:
             sig = logic.connectives.get(h)
             if sig is None:
                 result = None
                 if logic.compound_form is not None:
-                    result = logic.compound_form(h, args, head)
+                    result = logic.compound_form(h, args, head, partial(_interpret, logic=logic))
                 if result is None:
                     raise UnknownSymbolError(f"unknown connective {h!r}", head.line, head.col)
                 done.append(result)

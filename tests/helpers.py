@@ -171,7 +171,7 @@ def _elements(mask):
 def reference_models(oracle, gen, bound):
     """The models of ``oracle`` up to ``bound`` as ``describe()`` documents."""
     if isinstance(oracle, GFOracle):
-        rels = sorted(oracle.inst.relations.items())
+        rels = sorted(oracle.relations.items())
         for size in range(1, bound + 1):
             ranges = [range(1 << size ** arity) for _, arity in rels]
             for codes in itertools.product(*ranges):
@@ -253,6 +253,21 @@ def holds_fo(f, size, relations, atoms, env) -> bool:
     raise TypeError(f)
 
 
+def free_vars(f, atoms) -> frozenset[str]:
+    """The free variables of a GF formula, read from its syntax alone."""
+    if isinstance(f, Prop):
+        return frozenset(atoms[f.name][1])
+    if isinstance(f, Not):
+        return free_vars(f.child, atoms)
+    if isinstance(f, (And, Or)):
+        return free_vars(f.left, atoms) | free_vars(f.right, atoms)
+    if isinstance(f, App):
+        payload = f.conn.payload
+        inner = frozenset(atoms[payload.guard][1]) | free_vars(f.args[0], atoms)
+        return inner - frozenset(payload.bound)
+    raise TypeError(f)
+
+
 class ReferenceModel:
     """One model read back from its ``describe()`` document.
 
@@ -302,7 +317,7 @@ def reference_contexts(oracle, gen, bound, assigned=None):
     """``ReferenceModel``s of the models up to ``bound``, in contexts order;
     a structure's points are the assignments to ``assigned`` (default: the
     sorted E)."""
-    atoms = oracle.inst.atoms if isinstance(oracle, GFOracle) else None
+    atoms = oracle.atoms if isinstance(oracle, GFOracle) else None
     if assigned is None:
         assigned = sorted(gen.E)
     for doc in reference_models(oracle, gen, bound):

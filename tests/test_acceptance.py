@@ -265,7 +265,7 @@ def test_criterion_7_instance_agreement():
     for X, Xp, k in ((("u", "v"), ("v",), 0), (("v",), ("v",), 1)):
         atoms_over_x = frozenset(a for a in GF.atoms if set(GF.atoms[a][1]) <= set(X))
         quants = frozenset(
-            sig for sig in GF.connectives.values()
+            sig for sig in GF.logic.connectives.values()
             if frozenset(GF.atoms[sig.payload.guard][1]) <= set(X)
         )
         sp = space(Generator(k, atoms_over_x, quants, frozenset(Xp)), GF.domain)

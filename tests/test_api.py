@@ -1,10 +1,13 @@
-"""The public names: every exported name resolves, and the retired
-oracle wrappers and report classes stay gone."""
+"""The public names: every exported name resolves, every shipped instance
+is one ``Instance`` record, and the retired oracle wrappers, report
+classes and instance fields stay gone."""
+import dataclasses
+
 import pytest
 
 import addnf
 import addnf.logics
-from addnf.logics import bao, base, gf, modal, prop
+from addnf.logics import LOGIC_IDS, bao, base, build_instance, gf, modal, prop
 
 RETIRED = (
     "OracleReport",
@@ -15,6 +18,7 @@ RETIRED = (
     "kripke_oracle",
     "fo_oracle",
     "bao_oracle",
+    "PropositionalInstance",
 )
 
 
@@ -36,3 +40,17 @@ def test_one_report_type_and_one_check_entry_point():
 def test_retired_names_are_gone(module):
     for name in RETIRED:
         assert not hasattr(module, name), (module.__name__, name)
+
+
+@pytest.mark.parametrize("logic_id", LOGIC_IDS)
+def test_every_instance_is_one_record(logic_id):
+    assert "Instance" in addnf.logics.__all__ and addnf.logics.Instance is base.Instance
+    inst = build_instance(logic_id)
+    assert isinstance(inst, base.Instance)
+    assert inst.domain is inst.logic.domain
+
+
+def test_retired_instance_fields_are_gone():
+    fields = {f.name for f in dataclasses.fields(addnf.LogicDef)}
+    assert "oracle" not in fields and "special_forms" not in fields
+    assert not hasattr(gf.GFInstance, "free")

@@ -1,6 +1,8 @@
 import json
 import time
 
+import pytest
+
 from addnf.cli import main
 
 
@@ -72,6 +74,8 @@ def test_verify_exact(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verified"]["ok"] is True and doc["verified"]["exact"] is True
+    # The truth table has no model-size bound to report.
+    assert doc["verified"]["bound"] is None
 
 
 def test_verify_exit_code_on_countermodel(capsys, monkeypatch):
@@ -190,3 +194,34 @@ def test_huge_bound_fails_the_budget_fast(capsys):
         assert code == 1 and out == "", argv[:3]
         assert err.startswith("error: ") and "exceed" in err and "the budget" in err
         assert "Traceback" not in err
+
+
+# (label, config written to a file or None, argv): each must end as one
+# error line with exit code 1.
+MALFORMED = [
+    ("diamonds-not-a-list", {"diamonds": 5},
+     ["parse", "--logic", "modal-k", "(dia p)"]),
+    ("arity-not-an-int", {"relations": {"R": "x"}},
+     ["parse", "--logic", "gf", "(R u v)"]),
+    ("propositions-not-a-list", {"propositions": 7},
+     ["parse", "--logic", "prop", "p"]),
+    ("negative-degree", None,
+     ["count", "--logic", "modal-k", "--X", "p", "--k", "-1"]),
+    ("verify-bound-0", None,
+     ["verify", "--logic", "modal-k", "--bound", "0", "(dia p)"]),
+    ("partition-bound-0", None,
+     ["partition-check", "--logic", "modal-k", "--X", "p", "--k", "1", "--bound", "0"]),
+]
+
+
+@pytest.mark.parametrize("config,argv", [c[1:] for c in MALFORMED],
+                         ids=[c[0] for c in MALFORMED])
+def test_malformed_input_exits_one(capsys, tmp_path, config, argv):
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        argv = argv[:-1] + ["--config", str(cfg), argv[-1]]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""

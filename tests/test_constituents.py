@@ -200,7 +200,7 @@ def test_count_agrees_with_recurrence(gf_r):
     ds = gf_r.domain
     uv, vv = gf_r.atom("R", "u", "v"), gf_r.atom("R", "v", "v")
     some = frozenset(gf_r.quantifier(b, a) for a, b in [(uv, ("u",)), (vv, ()), (uv, ())])
-    every = frozenset(gf_r.connectives.values())
+    every = frozenset(gf_r.logic.connectives.values())
     overflows = 0
     for X in ({vv}, {uv, vv}):
         for Y in (frozenset(), some, every):

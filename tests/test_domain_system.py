@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import free_vars
+
 from addnf import (
     DomainSystem,
     EngineError,
@@ -22,7 +24,7 @@ def test_gf_iota_is_free_vars(gf_rs):
     f = parse_formula("(ex (u) (R u v) (S u))", gf_rs.logic)
     # rule (b): j2 - j1 = free(guard) - bound
     assert ds.iota(f) == frozenset({"v"})
-    assert ds.iota(f) == gf_rs.free(f)
+    assert ds.iota(f) == free_vars(f, gf_rs.atoms)
     g = parse_formula("(and (S v) (not (R u v)))", gf_rs.logic)
     assert ds.iota(g) == frozenset({"u", "v"})
 
@@ -64,7 +66,7 @@ def test_compatible(modal_inst, gf_rs):
 def test_compatible_implies_large(gf_rs):
     ds = gf_rs.domain
     atoms = set(gf_rs.atoms)
-    for sig in gf_rs.connectives.values():
+    for sig in gf_rs.logic.connectives.values():
         if ds.compatible(sig, atoms, {"v"}):
             assert ds.large_enough(atoms, ds.j2_of(sig))
 

@@ -18,7 +18,7 @@ from addnf import (
     space,
 )
 from addnf.logics import build_instance, gf_instance, gf_validate, modal_k_instance
-from helpers import random_gf_case
+from helpers import free_vars, random_gf_case
 
 
 # -- oracles -------------------------------------------------------------------
@@ -217,7 +217,7 @@ def test_gf_space_equals_family(gf_r, X, Xp, k):
     )
     quants = frozenset(
         sig
-        for sig in inst.connectives.values()
+        for sig in inst.logic.connectives.values()
         if frozenset(inst.atoms[sig.payload.guard][1]) <= set(X)
     )
     gen = Generator(k, atoms_over_x, quants, frozenset(Xp))
@@ -264,7 +264,7 @@ def test_gf_iota_equals_free_on_random_formulas(gf_r):
     rng = random.Random(2)
     for _ in range(100):
         f = random_gf_case(rng, gf_r)
-        assert gf_r.domain.iota(f) == gf_r.free(f)
+        assert gf_r.domain.iota(f) == free_vars(f, gf_r.atoms)
         assert gf_validate(f, gf_r)
         validate_domains(f, gf_r.domain)
 
