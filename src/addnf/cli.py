@@ -51,10 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("parse", help="parse and echo the canonical form"), True)
     add_common(sub.add_parser("count", help="exact space cardinality"), False)
     add_common(sub.add_parser("enumerate", help="list the space members"), False)
-    norm = sub.add_parser("normalize", help="rewrite into a member-index set")
-    add_common(norm, True)
-    norm.add_argument("--verify", action="store_true", dest="do_verify",
-                      help="also run the instance oracle on the result")
+    add_common(sub.add_parser("normalize", help="rewrite into a member-index set"), True)
     add_common(sub.add_parser("verify", help="normalize and verify against the oracle"), True)
     add_common(sub.add_parser("partition-check", help="exhaustiveness and exclusivity"), False)
     return p
@@ -166,13 +163,14 @@ def cmd_enumerate(args) -> int:
     for c in sp.members:
         doc = c.describe()
         if args.render:
-            doc["formula"] = render_formula(c.to_formula(), inst.logic)
+            doc["formula"] = render_formula(sp.formula(c.index), inst.logic)
         members.append(doc)
     _emit({"key": gen.describe(), "size": sp.size, "members": members}, args.fmt)
     return 0
 
 
-def _normalize_doc(args, inst, do_verify):
+def cmd_normalize(args, do_verify=False) -> int:
+    inst = _instance(args)
     f = _read_formula(args, inst)
     gen = _generator(args, inst, f)
     result = normalize(f, gen, inst.domain, args.cap)
@@ -185,21 +183,12 @@ def _normalize_doc(args, inst, do_verify):
         doc["verified"] = report.to_json()
         if not report.ok:
             code = 2
-    return doc, code
-
-
-def cmd_normalize(args) -> int:
-    inst = _instance(args)
-    doc, code = _normalize_doc(args, inst, getattr(args, "do_verify", False))
     _emit(doc, args.fmt)
     return code
 
 
 def cmd_verify(args) -> int:
-    inst = _instance(args)
-    doc, code = _normalize_doc(args, inst, True)
-    _emit(doc, args.fmt)
-    return code
+    return cmd_normalize(args, do_verify=True)
 
 
 def cmd_partition_check(args) -> int:

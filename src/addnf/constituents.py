@@ -58,10 +58,6 @@ class Constituent:
         self.color = color          # frozenset of positively signed propositions
         self.pos_bar = pos_bar      # frozenset of positively signed bar positions
 
-    @property
-    def degree(self) -> int:
-        return self.space.k
-
     def sub(self, conn: ConnectiveSig) -> frozenset[tuple[int, ...]]:
         """Positively signed argument tuples under ``conn``."""
         return frozenset(
@@ -83,9 +79,6 @@ class Constituent:
         if not self.space.degenerate:
             return None
         return frozenset(self.space.bar[t].children[0] for t in self.pos_bar)
-
-    def to_formula(self) -> Formula:
-        return self.space.formula(self.index)
 
     def describe(self) -> dict:
         doc = {"index": self.index, "color": sorted(self.color)}

@@ -8,7 +8,14 @@ from .gf import GFInstance, GFOracle, gf_instance, gf_validate
 from .modal import KripkeOracle, ModalKInstance, modal_k_instance
 from .prop import TruthTableOracle, propositional_instance
 
-LOGIC_IDS = ("prop", "modal-k", "gf", "bao")
+# The config keys each logic reads.
+_CONFIG_KEYS = {
+    "prop": ("propositions",),
+    "modal-k": ("diamonds", "propositions"),
+    "gf": ("variables", "relations", "equality"),
+    "bao": ("operators", "constants", "variables"),
+}
+LOGIC_IDS = tuple(_CONFIG_KEYS)
 
 
 def _names(value) -> bool:
@@ -35,12 +42,17 @@ _CONFIG_TYPES = {
 
 def build_instance(logic_id: str, config: dict | None = None) -> Instance:
     """Construct one of the shipped instances from a plain config dict."""
+    accepted = _CONFIG_KEYS.get(logic_id)
+    if accepted is None:
+        raise EngineError(f"unknown logic {logic_id!r}; expected one of {', '.join(LOGIC_IDS)}")
     config = dict(config or {})
     for key, value in config.items():
-        if key in _CONFIG_TYPES:
-            check, what = _CONFIG_TYPES[key]
-            if not check(value):
-                raise EngineError(f"config key {key!r} must be {what}, got {value!r}")
+        if key not in accepted:
+            raise EngineError(f"config key {key!r} is not read by {logic_id}; "
+                              f"accepted keys: {', '.join(accepted)}")
+        check, what = _CONFIG_TYPES[key]
+        if not check(value):
+            raise EngineError(f"config key {key!r} must be {what}, got {value!r}")
     if logic_id == "prop":
         return propositional_instance(config.get("propositions"))
     if logic_id == "modal-k":
@@ -54,13 +66,11 @@ def build_instance(logic_id: str, config: dict | None = None) -> Instance:
             config.get("relations", {"R": 2}),
             config.get("equality", False),
         )
-    if logic_id == "bao":
-        return bao_instance(
-            config.get("operators", {"f": 1}),
-            tuple(config.get("constants", ())),
-            tuple(config.get("variables", ("x",))),
-        )
-    raise EngineError(f"unknown logic {logic_id!r}; expected one of {', '.join(LOGIC_IDS)}")
+    return bao_instance(
+        config.get("operators", {"f": 1}),
+        tuple(config.get("constants", ())),
+        tuple(config.get("variables", ("x",))),
+    )
 
 
 __all__ = [

@@ -45,6 +45,10 @@ from .base import DEFAULT_BUDGET, Instance, PackedBlock, PackedOracle, Where, st
 
 EQ = "="
 
+# gf_instance refuses a language with more atoms than this: it enumerates
+# every atom, and every guarded quantifier over it, up front.
+MAX_ATOMS = 4096
+
 
 def _atom_id(rel: str, args) -> str:
     return f"({rel} {' '.join(args)})"
@@ -100,8 +104,8 @@ def gf_instance(variables=("u", "v"), relations=None, equality: bool = False) ->
     """Build a GF instance over a finite language.
 
     All atoms over (variables, relations) and all guarded quantifiers over
-    those atoms are enumerated up front; at these language sizes both
-    families stay small.
+    those atoms are enumerated up front, so a language of more than
+    ``MAX_ATOMS`` atoms is refused first.
     """
     variables = tuple(sorted(set(variables)))
     if len(variables) < 2:
@@ -112,6 +116,17 @@ def gf_instance(variables=("u", "v"), relations=None, equality: bool = False) ->
             raise EngineError("spell equality via the equality flag, not a relation")
         if arity < 1:
             raise EngineError(f"relation {name!r} must have arity >= 1")
+    # |V| >= 2, so an arity capped at MAX_ATOMS.bit_length() still gives a
+    # term above MAX_ATOMS whenever the uncapped one is, and stays small.
+    n = len(variables)
+    n_atoms = sum(n ** min(arity, MAX_ATOMS.bit_length()) for arity in relations.values())
+    if equality:
+        n_atoms += n * n
+    if n_atoms > MAX_ATOMS:
+        raise EngineError(
+            f"the language would have more than {MAX_ATOMS} atoms "
+            f"(|V|**arity per relation, |V| = {n})"
+        )
 
     atoms: dict[str, tuple[str, tuple[str, ...]]] = {}
     for rel in sorted(relations):

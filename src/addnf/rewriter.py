@@ -1,17 +1,17 @@
 """Rewriting a formula into an equivalent disjunction of constituents.
 
-``normalize`` is a pure structural recursion over the formula; it never
-consults a semantic oracle.  The five cases:
+The members of a space are the points of a canonical model: a member's
+color fixes which propositions hold there, and its positively signed bar
+tuples fix where each connective holds.  So the member set equivalent to
+``f`` is ``f``'s truth mask in the space read as a model, computed by the
+oracles' ``Context`` evaluator; ``normalize`` never consults an oracle.
+Only the application case is the space's own: ``conn(a0..ah-1)`` takes
+each argument's mask in the child space at the connective's j2 border,
+one degree down, and keeps the members having at least one positively
+signed bar tuple drawn from those masks.
 
-* a proposition keeps the members whose color contains it;
-* negation complements the index set;
-* conjunction intersects, disjunction unites;
-* an application ``conn(a0..ah-1)`` normalizes each argument one degree
-  down at the connective's j2 border, then keeps the members having at
-  least one positively signed bar tuple drawn from the argument results.
-
-Index sets are handled as big-int bitmasks internally and surfaced as
-frozensets of member indices.
+Masks are big-int bitmasks internally, surfaced as frozensets of member
+indices.
 """
 from __future__ import annotations
 
@@ -21,8 +21,8 @@ from .bitsets import iter_bits
 from .constituents import DEFAULT_CAP, ConstituentSpace, space
 from .domain_system import DomainSystem, Generator, suitable
 from .errors import EngineError, UnsuitableGenerator
-from .logics.base import Report
-from .syntax import And, App, Formula, Not, Or, Prop, disj_all
+from .logics.base import DEFAULT_BOUND, Context, Report
+from .syntax import And, App, Formula, Not, Prop, disj_all
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,6 @@ class NormalizationResult:
     generator: Generator
     sigma: frozenset[int]
     space: ConstituentSpace = field(compare=False, repr=False)
-    trace: tuple[str, ...] | None = field(default=None, compare=False)
 
     def describe(self) -> dict:
         return {
@@ -46,79 +45,53 @@ def normalize(
     gen: Generator,
     ds: DomainSystem,
     cap: int = DEFAULT_CAP,
-    trace: bool = False,
 ) -> NormalizationResult:
     """Compute the member set of N(gen) equivalent to ``f``."""
     report = suitable(gen, f, ds)
     if not report:
         raise UnsuitableGenerator(report)
     sp = space(gen, ds, cap)
-    steps: list[str] | None = [] if trace else None
-    memo: dict = {}
-    mask = _sigma_mask(f, sp, ds, cap, memo, steps)
-    return NormalizationResult(
-        generator=gen,
-        sigma=frozenset(iter_bits(mask)),
-        space=sp,
-        trace=tuple(steps) if steps is not None else None,
-    )
+    mask = _SpaceModel(sp, {}).eval(f)
+    return NormalizationResult(generator=gen, sigma=frozenset(iter_bits(mask)), space=sp)
 
 
-def _sigma_mask(f, sp, ds, cap, memo, steps):
-    key = (id(sp), id(f))
-    hit = memo.get(key)
-    if hit is not None:
-        return hit[1]
-    if isinstance(f, Prop):
-        mask = sp.literal_mask(f.name)
-        if steps is not None:
-            steps.append(f"prop {f.name} at degree {sp.k}")
-    elif isinstance(f, Not):
-        mask = sp.full_mask ^ _sigma_mask(f.child, sp, ds, cap, memo, steps)
-        if steps is not None:
-            steps.append(f"not at degree {sp.k}")
-    elif isinstance(f, And):
-        mask = _sigma_mask(f.left, sp, ds, cap, memo, steps) & _sigma_mask(
-            f.right, sp, ds, cap, memo, steps
-        )
-        if steps is not None:
-            steps.append(f"and at degree {sp.k}")
-    elif isinstance(f, Or):
-        mask = _sigma_mask(f.left, sp, ds, cap, memo, steps) | _sigma_mask(
-            f.right, sp, ds, cap, memo, steps
-        )
-        if steps is not None:
-            steps.append(f"or at degree {sp.k}")
-    elif isinstance(f, App):
-        mask = _app_mask(f, sp, ds, cap, memo, steps)
-        if steps is not None:
-            steps.append(f"{f.conn.key} at degree {sp.k}")
-    else:
-        raise TypeError(f"not a formula: {f!r}")
-    memo[key] = (f, mask)
-    return mask
+class _SpaceModel(Context):
+    """A constituent space read as a model whose points are its members.
 
+    ``reached`` maps each space reached to its model and is shared with
+    the child models, so each subformula is evaluated once per space.
+    """
 
-def _app_mask(f, sp, ds, cap, memo, steps):
-    gen = sp.gen
-    conn = f.conn
-    if sp.k < 1:
-        raise EngineError(f"degree 0 space cannot host {conn.key}")
-    if not ds.compatible(conn, gen.X, gen.E):
-        raise EngineError(
-            f"{conn.key} is not compatible with (X, E) of {gen.key}; "
-            "the generator should have been rejected as unsuitable"
-        )
-    child_gen = Generator(gen.k - 1, gen.X, gen.Y, ds.j2_of(conn))
-    child = space(child_gen, ds, cap)
-    arg_masks = [_sigma_mask(a, child, ds, cap, memo, steps) for a in f.args]
-    mask = 0
-    for t, item in enumerate(sp.bar):
-        if item.conn != conn:
-            continue
-        if all((arg_masks[j] >> c) & 1 for j, c in enumerate(item.children)):
-            mask |= sp.bar_pos_mask(t)
-    return mask
+    def __init__(self, sp: ConstituentSpace, reached: dict):
+        super().__init__()
+        self.sp = sp
+        self.reached = reached
+        self.points = sp.size
+        self.full = sp.full_mask
+        reached[sp] = self
+
+    def prop_mask(self, name: str) -> int:
+        return self.sp.literal_mask(name)
+
+    def _compute(self, f: Formula) -> int:
+        if not isinstance(f, App):
+            return super()._compute(f)
+        sp, conn = self.sp, f.conn
+        child = sp.children.get(conn.key)
+        if child is None:
+            raise EngineError(
+                f"{conn.key} has no child space under {sp.gen.key}; "
+                "the generator should have been rejected as unsuitable"
+            )
+        model = self.reached.get(child) or _SpaceModel(child, self.reached)
+        arg_masks = [model.eval(a) for a in f.args]
+        mask = 0
+        for t, item in enumerate(sp.bar):
+            if item.conn != conn:
+                continue
+            if all((arg_masks[j] >> c) & 1 for j, c in enumerate(item.children)):
+                mask |= sp.bar_pos_mask(t)
+        return mask
 
 
 def disjunction(result: NormalizationResult) -> Formula:
@@ -134,7 +107,8 @@ def disjunction(result: NormalizationResult) -> Formula:
     return disj_all([sp.formula(i) for i in sorted(result.sigma)])
 
 
-def verify(f: Formula, result: NormalizationResult, oracle, bound: int = 3) -> Report:
+def verify(f: Formula, result: NormalizationResult, oracle,
+           bound: int = DEFAULT_BOUND) -> Report:
     """Search for a model point separating ``f`` from its disjunction.
 
     Exact for exact oracles, refutation-complete only up to ``bound``
@@ -143,7 +117,8 @@ def verify(f: Formula, result: NormalizationResult, oracle, bound: int = 3) -> R
     return verify_many(result.space, [(f, result.sigma)], oracle, bound)[0]
 
 
-def verify_many(sp: ConstituentSpace, items, oracle, bound: int = 3) -> list[Report]:
+def verify_many(sp: ConstituentSpace, items, oracle,
+                bound: int = DEFAULT_BOUND) -> list[Report]:
     """``verify`` for many (formula, sigma) pairs on one space.
 
     Each block of models is evaluated once for the whole batch: the

@@ -2,6 +2,7 @@
 is one ``Instance`` record, and the retired oracle wrappers, report
 classes and instance fields stay gone."""
 import dataclasses
+import inspect
 
 import pytest
 
@@ -54,3 +55,10 @@ def test_retired_instance_fields_are_gone():
     fields = {f.name for f in dataclasses.fields(addnf.LogicDef)}
     assert "oracle" not in fields and "special_forms" not in fields
     assert not hasattr(gf.GFInstance, "free")
+
+
+def test_retired_rewriter_and_constituent_fields_are_gone():
+    assert "trace" not in inspect.signature(addnf.normalize).parameters
+    assert "trace" not in {f.name for f in dataclasses.fields(addnf.NormalizationResult)}
+    assert not hasattr(addnf.constituents.Constituent, "degree")
+    assert not hasattr(addnf.constituents.Constituent, "to_formula")

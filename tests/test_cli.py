@@ -205,6 +205,13 @@ MALFORMED = [
      ["parse", "--logic", "gf", "(R u v)"]),
     ("propositions-not-a-list", {"propositions": 7},
      ["parse", "--logic", "prop", "p"]),
+    ("unknown-config-key", {"diamond": ["box"]},
+     ["parse", "--logic", "modal-k", "(dia p)"]),
+    # the language size is decided before any atom is enumerated
+    ("gf-arity-20", {"relations": {"R": 20}},
+     ["parse", "--logic", "gf", "(R u v)"]),
+    ("gf-arity-huge", {"relations": {"R": 1000000000}},
+     ["parse", "--logic", "gf", "(R u v)"]),
     ("negative-degree", None,
      ["count", "--logic", "modal-k", "--X", "p", "--k", "-1"]),
     ("verify-bound-0", None,
@@ -221,7 +228,9 @@ def test_malformed_input_exits_one(capsys, tmp_path, config, argv):
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
         argv = argv[:-1] + ["--config", str(cfg), argv[-1]]
+    t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""

@@ -9,6 +9,7 @@ from addnf import (
     BudgetExceeded,
     ConnectiveSig,
     DomainSystem,
+    EngineError,
     Generator,
     GuardPayload,
     Not,
@@ -18,6 +19,7 @@ from addnf import (
     space,
 )
 from addnf.logics import build_instance, gf_instance, gf_validate, modal_k_instance
+from addnf.logics.gf import MAX_ATOMS
 from helpers import free_vars, random_gf_case
 
 
@@ -301,3 +303,27 @@ def test_build_instance_registry():
     assert "h" in bao.logic.connectives
     with pytest.raises(Exception):
         build_instance("nonsense")
+
+
+# (logic, a key it does not read, the accepted keys as the error lists them)
+UNREAD_KEYS = [
+    ("prop", "diamonds", "propositions"),
+    ("modal-k", "diamond", "diamonds, propositions"),
+    ("gf", "operators", "variables, relations, equality"),
+    ("bao", "relations", "operators, constants, variables"),
+]
+
+
+@pytest.mark.parametrize("logic_id,key,accepted", UNREAD_KEYS, ids=[c[0] for c in UNREAD_KEYS])
+def test_build_instance_rejects_keys_its_logic_does_not_read(logic_id, key, accepted):
+    with pytest.raises(EngineError) as e:
+        build_instance(logic_id, {key: ["x"]})
+    assert repr(key) in str(e.value) and accepted in str(e.value)
+
+
+def test_gf_language_size_is_checked_before_enumerating():
+    assert len(gf_instance(("u", "v"), {"R": 12}).atoms) == MAX_ATOMS
+    for relations, equality in (({"R": 12}, True), ({"R": 12, "S": 1}, False),
+                                ({"R": 10 ** 9}, False)):
+        with pytest.raises(EngineError, match="atoms"):
+            gf_instance(("u", "v"), relations, equality)

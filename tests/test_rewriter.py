@@ -19,6 +19,7 @@ from addnf import (
     verify,
     verify_many,
 )
+from addnf.logics import modal_k_instance
 from helpers import formula_strategy, minterm_sigma, random_modal_formula
 
 
@@ -202,8 +203,21 @@ def test_disjunction_semantics_matches_member_union(prop_inst, modal_inst):
         assert ctx.eval(big) == union
 
 
-def test_trace_records_cases(prop_inst):
-    f = parse_formula("(or p (not q))", prop_inst.logic)
-    r = normalize(f, _pgen(prop_inst), prop_inst.domain, trace=True)
-    assert any(step.startswith("prop") for step in r.trace)
-    assert any(step.startswith("or") for step in r.trace)
+# sigma pinned before normalize ran on Context.eval; each is oracle-checked too.
+TWO_DIAMONDS = [
+    ("(and (dia p) (box (not p)))", [0, 1, 8, 9, 16, 17, 24, 25]),
+    ("(or (dia p) (box p))",
+     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 28, 29]),
+    ("(not (box (or p (not p))))", [12, 13, 14, 15, 28, 29, 30, 31]),
+]
+
+
+@pytest.mark.parametrize("text,sigma", TWO_DIAMONDS, ids=[t for t, _ in TWO_DIAMONDS])
+def test_two_diamonds_share_one_child_space(text, sigma):
+    inst = modal_k_instance(("dia", "box"))
+    gen = Generator(1, {"p"}, frozenset(inst.diamonds), inst.domain.points)
+    f = parse_formula(text, inst.logic)
+    r = normalize(f, gen, inst.domain)
+    assert r.space.children["dia"] is r.space.children["box"]
+    assert sorted(r.sigma) == sigma
+    assert verify(f, r, inst.oracle, 2).ok
