@@ -3,8 +3,10 @@
 Subcommands: parse, count, enumerate, normalize, verify, partition-check.
 Output is deterministic (sorted keys, canonical orderings); exit codes are
 0 for success, 1 for usage/resource errors, 2 when verification finds a
-countermodel.  Every resource failure, including nesting too deep for
-the recursive formula walkers, exits 1 with an ``error:`` line.
+countermodel.  Every usage error (an unknown command or a flag the
+command does not read) and every resource failure, including nesting
+too deep for the recursive formula walkers, exits 1 with an ``error:``
+line.
 """
 from __future__ import annotations
 
@@ -22,38 +24,48 @@ from .rewriter import disjunction, normalize, verify
 from .syntax import depth, parse_formula, render_formula, vocabulary
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ``EngineError``s (exit 1)."""
+
+    def error(self, message):
+        raise EngineError(message)
+
+
+# Every flag a command may read, in help order: (flag, argparse keywords).
+_FLAGS = {
+    "logic": ("--logic", {"default": "prop", "choices": LOGIC_IDS}),
+    "config": ("--config", {"help": "path to an instance-configuration JSON file"}),
+    "k": ("--k", {"type": int, "help": "degree (defaults to the formula depth)"}),
+    "X": ("--X", {"help": "comma-separated proposition ids"}),
+    "Y": ("--Y", {"help": "comma-separated connective keys"}),
+    "E": ("--E", {"help": "comma-separated points of V"}),
+    "cap": ("--cap", {"type": int, "default": DEFAULT_CAP}),
+    "bound": ("--bound", {"type": int, "default": DEFAULT_BOUND,
+                          "help": "oracle model-size bound"}),
+    "render": ("--render", {"action": "store_true",
+                            "help": "include rendered formulas in the output"}),
+    "format": ("--format", {"choices": ("json", "text"), "default": "json", "dest": "fmt"}),
+    "formula": ("formula", {"nargs": "?", "default": "-",
+                            "help": "s-expression formula; '-' reads stdin"}),
+}
+_COMMON = {"logic", "config", "format"}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and then reused."""
-    p = argparse.ArgumentParser(
+    """The command-line parser, built on first use and then reused; each
+    command declares only the flags it reads."""
+    p = _Parser(
         prog="addnf",
         description="Enumerate degree-k normal forms and rewrite formulas into them.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add_common(sp, with_formula):
-        sp.add_argument("--logic", default="prop", choices=LOGIC_IDS)
-        sp.add_argument("--config", help="path to an instance-configuration JSON file")
-        sp.add_argument("--k", type=int, help="degree (defaults to the formula depth)")
-        sp.add_argument("--X", help="comma-separated proposition ids")
-        sp.add_argument("--Y", help="comma-separated connective keys")
-        sp.add_argument("--E", help="comma-separated points of V")
-        sp.add_argument("--cap", type=int, default=DEFAULT_CAP)
-        sp.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                        help="oracle model-size bound")
-        sp.add_argument("--render", action="store_true",
-                        help="include rendered formulas in the output")
-        sp.add_argument("--format", choices=("json", "text"), default="json", dest="fmt")
-        if with_formula:
-            sp.add_argument("formula", nargs="?", default="-",
-                            help="s-expression formula; '-' reads stdin")
-
-    add_common(sub.add_parser("parse", help="parse and echo the canonical form"), True)
-    add_common(sub.add_parser("count", help="exact space cardinality"), False)
-    add_common(sub.add_parser("enumerate", help="list the space members"), False)
-    add_common(sub.add_parser("normalize", help="rewrite into a member-index set"), True)
-    add_common(sub.add_parser("verify", help="normalize and verify against the oracle"), True)
-    add_common(sub.add_parser("partition-check", help="exhaustiveness and exclusivity"), False)
+    for name, (_, help_, flags) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_)
+        wanted = _COMMON | set(flags.split())
+        for key, (flag, kwargs) in _FLAGS.items():
+            if key in wanted:
+                sp.add_argument(flag, **kwargs)
     return p
 
 
@@ -202,20 +214,26 @@ def cmd_partition_check(args) -> int:
     return 0 if report.ok else 2
 
 
+_GENERATOR = "k X Y E"
+# Each command: its handler, its help line and the flags it reads besides
+# --logic, --config and --format.
 _COMMANDS = {
-    "parse": cmd_parse,
-    "count": cmd_count,
-    "enumerate": cmd_enumerate,
-    "normalize": cmd_normalize,
-    "verify": cmd_verify,
-    "partition-check": cmd_partition_check,
+    "parse": (cmd_parse, "parse and echo the canonical form", "formula"),
+    "count": (cmd_count, "exact space cardinality", _GENERATOR),
+    "enumerate": (cmd_enumerate, "list the space members", f"{_GENERATOR} cap render"),
+    "normalize": (cmd_normalize, "rewrite into a member-index set",
+                  f"{_GENERATOR} cap render formula"),
+    "verify": (cmd_verify, "normalize and verify against the oracle",
+               f"{_GENERATOR} cap bound render formula"),
+    "partition-check": (cmd_partition_check, "exhaustiveness and exclusivity",
+                        f"{_GENERATOR} cap bound"),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except EngineError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 from ..errors import EngineError
-from .bao import BAOInstance, ComplexAlgebraOracle, bao_instance
-from .base import DEFAULT_BOUND, Instance, Oracle, Report
+from .bao import BAOInstance, bao_instance
+from .base import DEFAULT_BOUND, Instance, Oracle, RelationalOracle, Report
 from .gf import GFInstance, GFOracle, gf_instance, gf_validate
-from .modal import KripkeOracle, ModalKInstance, modal_k_instance
+from .modal import ModalKInstance, modal_k_instance
 from .prop import TruthTableOracle, propositional_instance
 
 # The config keys each logic reads.
@@ -75,15 +75,14 @@ def build_instance(logic_id: str, config: dict | None = None) -> Instance:
 
 __all__ = [
     "BAOInstance",
-    "ComplexAlgebraOracle",
     "DEFAULT_BOUND",
     "GFInstance",
     "GFOracle",
     "Instance",
-    "KripkeOracle",
     "LOGIC_IDS",
     "ModalKInstance",
     "Oracle",
+    "RelationalOracle",
     "Report",
     "TruthTableOracle",
     "bao_instance",

@@ -1,10 +1,10 @@
 """Shared oracle machinery for the shipped logic instances.
 
 An oracle enumerates *model contexts*; each context evaluates formulas to
-a bitmask over its evaluation points (truth-table rows, Kripke worlds,
-variable assignments, frame elements).  Validity means full mask in every
-context.  All searches are exhaustive up to a size bound and guarded by a
-case budget; only the propositional oracle is exact.
+a bitmask over its evaluation points (truth-table rows, frame points,
+variable assignments).  Validity means full mask in every context.  All
+searches are exhaustive up to a size bound and guarded by a case budget;
+only the propositional oracle is exact.
 
 Checks run over *blocks*: consecutive models, in the order ``contexts``
 enumerates them, evaluated together as one context.  Model ``i`` of a
@@ -13,7 +13,7 @@ point ``w`` at bit ``i*points + w``, so one mask operation serves every
 model of the block and the lowest set bit of a failure mask is the first
 failing model and point.
 
-The bounded oracles (Kripke, complex algebra, first-order) are
+The bounded oracles (relational frames, first-order structures) are
 ``PackedOracle``s.  Their models of one size are numbered by an
 *ordinal*, the order of ``contexts``, whose bits are the model read in
 binary: each oracle states only where its valuation bits and relation
@@ -352,16 +352,14 @@ class PackedBlock(Context):
 
 
 class RelationalBlock(PackedBlock):
-    """A block of relational models.
+    """A block of relational models (frames).
 
-    A proposition holds at element w where its ordinal bit
+    A proposition holds at point w where its ordinal bit
     ``props[name] + w`` is set.  An operator of rank h is the existential
-    image of its (h+1)-ary relation: element w gets
+    image of its (h+1)-ary relation: point w gets
     ``edge & (a1 >> u1) & ... & (ah >> uh)`` over the tuples
     (w, u1, ..., uh), so a unary one is a Kripke diamond.
     """
-
-    missing = "proposition {!r} has no valuation in this model"
 
     def __init__(self, layout: _BlockLayout, start: int):
         super().__init__(layout, start)
@@ -382,7 +380,7 @@ class RelationalBlock(PackedBlock):
         try:
             off = layout.where.props[name]
         except KeyError:
-            raise EngineError(self.missing.format(name)) from None
+            raise EngineError(f"proposition {name!r} has no valuation in this model") from None
         out = 0
         for w in range(self.points):
             out |= layout.bit(off + w, self.start) << w
@@ -401,6 +399,76 @@ class RelationalBlock(PackedBlock):
                 acc |= edge
             out |= acc << w
         return out
+
+    def describe(self) -> dict:
+        where = self.layout.where
+        return {
+            "kind": "frame",
+            "size": self.points,
+            "relations": where.tuples(self.start),
+            "valuation": where.values(self.start),
+        }
+
+    def point_desc(self, point: int) -> dict:
+        return {"point": point}
+
+
+class RelationalOracle(PackedOracle):
+    """Bounded search over the frames of at most ``bound`` points.
+
+    A rank-h connective is read as the existential image of an (h+1)-ary
+    relation (Jonsson-Tarski), so one search serves modal K (a diamond is
+    rank 1) and the complex algebras of BAO; a countermodel refutes soundly.
+    Read in binary from the low bit up, the ordinal of a frame of n points
+    holds each proposition's n-bit value (bit w: it holds at point w), then
+    each connective's relation code (bit j: tuple j of
+    ``product(range(n), repeat=rank + 1)``), the last sorted one lowest.
+    """
+
+    block_type = RelationalBlock
+
+    def where(self, gen: Generator, size: int) -> Where:
+        props = sorted(gen.X)
+        conns = gen.sorted_conns()
+        values = stacked(0, [size] * len(props))
+        codes = stacked(size * len(props), [size ** (c.rank + 1) for c in conns])
+        return Where(
+            size, size,
+            dict(zip(props, values)),
+            {c.key: (off, c.rank + 1) for c, off in zip(conns, codes)},
+        )
+
+    def model_bits(self, gen: Generator, size: int) -> int:
+        return size * len(gen.X) + sum(size ** (c.rank + 1) for c in gen.Y)
+
+    def check_equal(self, lhs: Formula, rhs: Formula, bound: int = DEFAULT_BOUND,
+                    gen: Generator | None = None) -> Report:
+        """Do both formulas hold at the same points of every frame up to the bound?"""
+        if gen is None:
+            g1, g2 = self.vocab_for(lhs), self.vocab_for(rhs)
+            gen = Generator(0, g1.X | g2.X, g1.Y | g2.Y, frozenset())
+
+        def explain(ctx, point) -> dict:
+            return {
+                "context": ctx.describe(),
+                "lhs_value": mask_to_list(ctx.eval(lhs)),
+                "rhs_value": mask_to_list(ctx.eval(rhs)),
+            }
+
+        return self.check(gen, bound, [(lambda b: b.eval(lhs) ^ b.eval(rhs), explain)])[0]
+
+
+def one_point_domain(sigs=()) -> DomainSystem:
+    """The domain system over V = {*}: every j1 empty, every j2 and the
+    default iota V, so every connective is a full operator."""
+    v = frozenset("*")
+    return DomainSystem(
+        points=v,
+        iota_atomic={},
+        j1={s.key: frozenset() for s in sigs},
+        j2={s.key: v for s in sigs},
+        iota_default=v,
+    )
 
 
 def mask_to_list(mask: int) -> list[int]:

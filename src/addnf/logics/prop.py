@@ -6,12 +6,10 @@ is an exact truth table.
 from __future__ import annotations
 
 from ..bitsets import zero_bit_pattern
-from ..domain_system import DomainSystem, Generator
+from ..domain_system import Generator
 from ..errors import BudgetExceeded, EngineError
 from ..syntax import LogicDef
-from .base import Context, Instance, Oracle
-
-POINT = "*"
+from .base import Context, Instance, Oracle, one_point_domain
 
 
 class _TruthTableContext(Context):
@@ -60,16 +58,9 @@ class TruthTableOracle(Oracle):
 
 def propositional_instance(propositions=None) -> Instance:
     """Build the instance; ``propositions=None`` accepts any identifier."""
-    ds = DomainSystem(
-        points=frozenset((POINT,)),
-        iota_atomic={},
-        j1={},
-        j2={},
-        iota_default=frozenset((POINT,)),
-    )
     logic = LogicDef(
         name="prop",
-        domain=ds,
+        domain=one_point_domain(),
         propositions=frozenset(propositions) if propositions is not None else None,
     )
     return Instance(logic=logic, oracle=TruthTableOracle())

@@ -11,7 +11,7 @@ import itertools
 from hypothesis import strategies as st
 
 from addnf import And, App, Not, Or, Prop
-from addnf.logics import ComplexAlgebraOracle, GFOracle, KripkeOracle
+from addnf.logics import GFOracle, RelationalOracle
 
 
 def formula_strategy(props):
@@ -154,8 +154,8 @@ def random_gf_case(rng, inst, d=1, size=8):
 #
 # The bounded oracles' models, enumerated in the documented order (relation
 # codes by ``itertools.product``, then valuations) as ``describe()``
-# documents, and evaluated from those documents alone: a relational model
-# (Kripke frame or complex algebra) tuple by tuple, a first-order
+# documents, and evaluated from those documents alone: a frame (a Kripke
+# model or a complex algebra) tuple by tuple, a first-order
 # structure one assignment at a time.
 
 
@@ -179,25 +179,17 @@ def reference_models(oracle, gen, bound):
                     name: _tuples(size, arity, code) for (name, arity), code in zip(rels, codes)
                 }}
         return
+    if not isinstance(oracle, RelationalOracle):
+        raise TypeError(f"no reference models for {oracle!r}")
     props = sorted(gen.X)
     conns = gen.sorted_conns()
     for size in range(1, bound + 1):
         ranges = [range(1 << size ** (c.rank + 1)) for c in conns]
         for codes in itertools.product(*ranges):
             relations = {c.key: _tuples(size, c.rank + 1, code) for c, code in zip(conns, codes)}
-            if isinstance(oracle, KripkeOracle):
-                ones = (1 << size) - 1
-                for v in range(1 << size * len(props)):
-                    yield {"kind": "kripke", "worlds": size, "relations": relations,
-                           "valuation": {p: _elements(v >> j * size & ones)
-                                         for j, p in enumerate(props)}}
-            elif isinstance(oracle, ComplexAlgebraOracle):
-                for vals in itertools.product(range(1 << size), repeat=len(props)):
-                    yield {"kind": "complex-algebra", "frame_size": size,
-                           "relations": relations,
-                           "values": {p: _elements(v) for p, v in zip(props, vals)}}
-            else:
-                raise TypeError(f"no reference models for {oracle!r}")
+            for vals in itertools.product(range(1 << size), repeat=len(props)):
+                yield {"kind": "frame", "size": size, "relations": relations,
+                       "valuation": {p: _elements(v) for p, v in zip(props, vals)}}
 
 
 def eval_complex(f, size, relations, values, memo) -> int:
@@ -286,9 +278,9 @@ class ReferenceModel:
             self.assigned = tuple(assigned)
             self.points = self.size ** len(self.assigned)
         else:
-            self.size = self.points = doc["worlds" if doc["kind"] == "kripke" else "frame_size"]
+            self.size = self.points = doc["size"]
             self.relations = doc["relations"]
-            self.values = doc["valuation" if doc["kind"] == "kripke" else "values"]
+            self.values = doc["valuation"]
         self.full = (1 << self.points) - 1
         self._memo = {}
 
@@ -310,7 +302,7 @@ class ReferenceModel:
     def point_desc(self, point):
         if self.structure:
             return {"assignment": self.env(point)}
-        return {"world" if self.doc["kind"] == "kripke" else "element": point}
+        return {"point": point}
 
 
 def reference_contexts(oracle, gen, bound, assigned=None):

@@ -20,6 +20,8 @@ RETIRED = (
     "fo_oracle",
     "bao_oracle",
     "PropositionalInstance",
+    "KripkeOracle",
+    "ComplexAlgebraOracle",
 )
 
 

@@ -1,10 +1,10 @@
 """The packed blocks against one model at a time.
 
-The bounded oracles (Kripke, complex algebra, first-order) enumerate their
-models as the independent ``helpers.reference_models`` does, block masks
+The bounded oracles (relational frames, first-order structures) enumerate
+their models as the independent ``helpers.reference_models`` does, block masks
 match the reference evaluators of ``helpers`` bit for bit on every model,
 and the block-based reports of verify, verify_many, partition_check,
-check_valid and BAO check_equal match the per-model reference loops.
+check_valid and check_equal match the per-model reference loops.
 Every one of those checks returns the one ``Report`` shape.
 """
 import itertools
@@ -40,9 +40,8 @@ from addnf import (
     verify,
     verify_many,
 )
-from addnf.logics import GFInstance, bao_instance, gf_instance, modal_k_instance
+from addnf.logics import GFInstance, RelationalOracle, bao_instance, gf_instance, modal_k_instance
 from addnf.logics.base import BLOCK_MODELS
-from addnf.logics.modal import KripkeOracle
 from addnf.syntax import vocabulary
 
 # (diamonds, propositions, models compared with contexts()); two diamonds
@@ -81,7 +80,7 @@ def _assert_bits(block, models, formulas):
 def test_block_masks_match_each_model(dias, props, limit):
     inst = modal_k_instance(dias)
     gen = Generator(0, frozenset(props), frozenset(inst.diamonds), inst.domain.points)
-    oracle = KripkeOracle(budget=1 << 22)
+    oracle = RelationalOracle(budget=1 << 22)
     formulas = _formulas(random.Random(len(dias) * 10 + len(props)), inst, props, 3)
     refs = reference_contexts(oracle, gen, 3)
     checked, sizes, last = 0, set(), None
@@ -178,6 +177,27 @@ def test_two_diamond_reports_match_the_per_model_loop():
             per_model_check_valid(oracle, f, 2, gen)
     sp = space(Generator(1, {"p"}, {a, b}, inst.domain.points), inst.domain)
     assert partition_check(sp, oracle, 2).to_json() == per_model_partition_check(sp, oracle, 2)
+
+
+def test_modal_and_bao_share_one_oracle():
+    # A diamond is a rank-1 operator: modal K and a BAO with one unary
+    # operator read the same frames and give the same reports.
+    modal = modal_k_instance(("f",))
+    algebra = bao_instance({"f": 1}, variables=("p", "q"))
+    assert type(modal.oracle) is type(algebra.oracle) is RelationalOracle
+    f = modal.diamonds[0]
+    gen = Generator(0, frozenset("pq"), frozenset((f,)), modal.domain.points)
+    rng = random.Random(9)
+    formulas = [random_modal_formula(rng, f, 2, 9, ("p", "q")) for _ in range(40)]
+    verdicts = set()
+    for lhs, rhs in zip(formulas, formulas[1:] + formulas[:1]):
+        for check in ("check_valid", "check_equal"):
+            args = (lhs,) if check == "check_valid" else (lhs, rhs)
+            got = [getattr(inst.oracle, check)(*args, 2, gen).to_json()
+                   for inst in (modal, algebra)]
+            assert got[0] == got[1], (check, lhs)
+            verdicts.add(got[0]["ok"])
+    assert verdicts == {True, False}
 
 
 def _broken(sp, i, j, swap):

@@ -218,6 +218,12 @@ MALFORMED = [
      ["verify", "--logic", "modal-k", "--bound", "0", "(dia p)"]),
     ("partition-bound-0", None,
      ["partition-check", "--logic", "modal-k", "--X", "p", "--k", "1", "--bound", "0"]),
+    # usage errors: a command takes only the flags it reads
+    ("normalize-bound", None, ["normalize", "--logic", "modal-k", "--bound", "0", "(dia p)"]),
+    ("count-render", None, ["count", "--logic", "modal-k", "--X", "p", "--k", "1", "--render"]),
+    ("parse-k", None, ["parse", "--k", "1", "p"]),
+    ("unknown-flag", None, ["count", "--bogus"]),
+    ("no-subcommand", None, []),
 ]
 
 
@@ -234,3 +240,29 @@ def test_malformed_input_exits_one(capsys, tmp_path, config, argv):
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+# The flags each command does not read, with a value where one is taken.
+UNREAD_FLAGS = {
+    "parse": ["--k 1", "--X p", "--Y dia", "--E *", "--cap 8", "--bound 2", "--render"],
+    "count": ["--cap 8", "--bound 2", "--render"],
+    "enumerate": ["--bound 2"],
+    "normalize": ["--bound 2"],
+    "partition-check": ["--render"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNREAD_FLAGS))
+def test_commands_reject_flags_they_do_not_read(capsys, command):
+    for flag in UNREAD_FLAGS[command]:
+        code, out, err = run(capsys, command, "--logic", "modal-k", *flag.split())
+        assert code == 1 and out == "", flag
+        assert err.startswith("error: unrecognized arguments: " + flag.split()[0]), flag
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: addnf")
