@@ -5,7 +5,10 @@ standing for element i; intersection/union/complement become &, |, ^.
 """
 from __future__ import annotations
 
+import itertools
 import sys
+
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")  # binary digits as 0/1 bytes
 
 
 def zero_bit_pattern(count: int, bit_exp: int, stride: int = 1) -> int:
@@ -26,11 +29,12 @@ def zero_bit_pattern(count: int, bit_exp: int, stride: int = 1) -> int:
 
 
 def iter_bits(mask: int):
-    """Indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Indices of the set bits of ``mask``, ascending.
+
+    One pass over the binary digits, lowest first: clearing one bit at a
+    time would copy the whole int per bit, quadratic in its width.
+    """
+    return itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_DIGITS))
 
 
 def too_long_to_print(n: int) -> bool:

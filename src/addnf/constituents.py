@@ -10,12 +10,14 @@ degree-k constituents of the same key.
 
 Canonical order, fixed once so golden outputs are stable:
 
-* X-tilde is sorted lexicographically; a sign word over it is read as a
-  binary code, first proposition most significant, 0 meaning positive.
-  Degree-0 constituents are ordered by that code (all-positive first).
+* X-tilde is sorted lexicographically.
 * Bar items are ordered by (connective key, lexicographic child tuple).
-* A degree-(k+1) constituent's index is ``alpha_code * 2**len(bar) +
-  beta_code`` with the beta code read the same way over the bar list.
+* A constituent's index, read in binary, *is* its sign word over the
+  space's ``literals()``: the X-tilde propositions, then (at degree >= 1)
+  the bar items, the first literal the most significant bit and 0 meaning
+  positive.  Member 0 is the all-positive one.  So a set of members is a
+  Boolean function of the literals, and the rewriter evaluates a
+  disjunction of members by splitting the index bits, not member by member.
 
 Spaces are memoized per domain system and immutable once built; the
 member list and rendered formulas materialize lazily.
@@ -102,6 +104,10 @@ class Constituent:
         return f"Constituent({self.space.gen.key}, #{self.index})"
 
 
+def _out_of_range(i: int, size: int) -> IndexError:
+    return IndexError(f"member index {i} out of range for size {size}")
+
+
 class ConstituentSpace:
     """All degree-k constituents for one (k, X, Y, A) key, in canonical order."""
 
@@ -118,8 +124,7 @@ class ConstituentSpace:
         self.size = (1 << len(xtilde)) << len(bar)
         self._members = None
         self._formulas: dict[int, Formula] = {}
-        self._literals = {}
-        self._signed_bar = {}
+        self._signs = None                    # (literals, their negations)
         self._masks = {}
 
     @property
@@ -132,7 +137,7 @@ class ConstituentSpace:
 
     def member(self, i: int) -> Constituent:
         if not 0 <= i < self.size:
-            raise IndexError(f"member index {i} out of range for size {self.size}")
+            raise _out_of_range(i, self.size)
         nx, nbar = len(self.xtilde), len(self.bar)
         acode, bcode = divmod(i, 1 << nbar) if nbar else (i, 0)
         color = frozenset(
@@ -157,48 +162,52 @@ class ConstituentSpace:
 
     # -- rendering ------------------------------------------------------------
 
-    def _literal(self, j: int, positive: bool) -> Formula:
-        pair = self._literals.get(j)
-        if pair is None:
-            p = Prop(self.xtilde[j])
-            pair = (p, Not(p))
-            self._literals[j] = pair
-        return pair[0] if positive else pair[1]
-
-    def _bar_literal(self, t: int, positive: bool) -> Formula:
-        pair = self._signed_bar.get(t)
-        if pair is None:
-            item = self.bar[t]
-            if item.conn is None:
-                base = self.base.formula(item.children[0])
-            else:
-                child = self.children[item.conn.key]
-                base = App(item.conn, tuple(child.formula(c) for c in item.children))
-            pair = (base, Not(base))
-            self._signed_bar[t] = pair
-        return pair[0] if positive else pair[1]
+    def literals(self) -> tuple[Formula, ...]:
+        """The formulas whose signs spell a member's index, most significant
+        first: ``Prop(x)`` for each X-tilde entry, then each bar item (an
+        application to child members, or a bare base member)."""
+        if self._signs is None:
+            bar = []
+            for item in self.bar:
+                if item.conn is None:
+                    bar.append(self.base.formula(item.children[0]))
+                else:
+                    child = self.children[item.conn.key]
+                    bar.append(App(item.conn, tuple(child.formula(c) for c in item.children)))
+            literals = tuple([Prop(x) for x in self.xtilde] + bar)
+            self._signs = (literals, tuple(Not(g) for g in literals))
+        return self._signs[0]
 
     def formula(self, i: int) -> Formula:
         """Render member i: the signed X-tilde block conjoined (at degree
         >= 1) with the signed bar block, each block in canonical order."""
         f = self._formulas.get(i)
         if f is None:
-            c = self.member(i)
-            head = conj_all(
-                self._literal(j, self.xtilde[j] in c.color)
-                for j in range(len(self.xtilde))
-            )
+            if not 0 <= i < self.size:
+                raise _out_of_range(i, self.size)
+            literals = self.literals()
+            negated = self._signs[1]
+            n = len(literals)
+            signed = [negated[j] if i >> (n - 1 - j) & 1 else g for j, g in enumerate(literals)]
+            nx = len(self.xtilde)
+            f = conj_all(signed[:nx])
             if self.bar:
-                tail = conj_all(
-                    self._bar_literal(t, t in c.pos_bar) for t in range(len(self.bar))
-                )
-                f = And(head, tail)
-            else:
-                f = head
+                f = And(f, conj_all(signed[nx:]))
             self._formulas[i] = f
         return f
 
     # -- index masks (used by the rewriter) ------------------------------------
+
+    def index_mask(self, indices) -> int:
+        """The mask of a set of member indices; an index out of range
+        raises the IndexError of ``member``."""
+        size = self.size
+        digits = bytearray(b"0") * size  # bit i is digit i from the right
+        for i in indices:
+            if not 0 <= i < size:
+                raise _out_of_range(min(j for j in indices if not 0 <= j < size), size)
+            digits[size - 1 - i] = 49  # "1"
+        return int(digits, 2)
 
     def literal_mask(self, prop: str) -> int:
         """Mask of members whose color contains ``prop``."""
@@ -358,7 +367,9 @@ def partition_check(sp: ConstituentSpace, oracle, bound: int,
     at least one by the exhaustiveness half, at most one by pairwise
     contradiction.  Exact when the oracle is exact, otherwise a bounded
     search; the report's countermodel is the first failing model and
-    point, with the members true there.
+    point, with the members true there.  It evaluates the rendered members
+    one by one, unlike verify: the index-bit reading of a disjunction
+    assumes exactly what this checks.
     """
     limit = budget // sp.size
     if oracle.estimate_contexts(sp.gen, bound, limit) > limit:

@@ -11,7 +11,10 @@ one degree down, and keeps the members having at least one positively
 signed bar tuple drawn from those masks.
 
 Masks are big-int bitmasks internally, surfaced as frozensets of member
-indices.
+indices.  ``verify`` checks ``f`` against its disjunction without
+rendering a member: a member's index is the sign word of the space's
+literals, so the disjunction is read off the literal masks by splitting
+sigma on the index bits.
 """
 from __future__ import annotations
 
@@ -121,25 +124,56 @@ def verify_many(sp: ConstituentSpace, items, oracle,
                 bound: int = DEFAULT_BOUND) -> list[Report]:
     """``verify`` for many (formula, sigma) pairs on one space.
 
-    Each block of models is evaluated once for the whole batch: the
-    block's memo shares member masks across the items, and the
-    disjunction is evaluated member by member (disjunction of truths
-    equals truth of the disjunction).
+    Each block of models is evaluated once for the whole batch, and the
+    block's memo shares the masks of the space's literals across the
+    items.  No member is rendered: each disjunction is read off the
+    literal masks by splitting sigma on the index bits (see ``_differs``),
+    so its cost does not grow with the size of sigma.
     """
-    checks = [_differs(f, [sp.formula(i) for i in sorted(sigma)]) for f, sigma in items]
+    checks = [_differs(f, sp, sigma) for f, sigma in items]
     return oracle.check(sp.gen, bound, checks)
 
 
-def _differs(f: Formula, members: list[Formula]):
-    """The check that ``f`` agrees with the disjunction of ``members``:
-    the points of a block where they differ, and a failing point described."""
+def _differs(f: Formula, sp: ConstituentSpace, sigma):
+    """The check that ``f`` agrees with the disjunction of the members in
+    ``sigma``: the points of a block where they differ, and a failing point
+    described.
+
+    At each point exactly one member holds, the one whose index spells the
+    signs its literals take there, so the disjunction holds where that
+    index is in sigma.  Sigma is evaluated by Shannon expansion over the
+    index bits, most significant first, as a decision diagram (Bryant
+    1986): a slice of sigma splits into halves, the low half taken where
+    the literal holds, and a slice that is empty, full or made of two
+    equal halves needs no literal.  Slices are memoized per block.
+    """
+    want = sp.index_mask(sigma)
+    literals = sp.literals()
+    n = len(literals)
+    ones = [(1 << (1 << (n - level))) - 1 for level in range(n + 1)]
+
     def fails(block) -> int:
-        dm = 0
-        for g in members:
-            dm |= block.eval(g)
-            if dm == block.full:
-                break
-        return block.eval(f) ^ dm
+        full = block.full
+        memo = {}
+
+        def expand(level: int, s: int) -> int:
+            # s: the slice of sigma under one sign prefix of ``level`` literals
+            if not s:
+                return 0
+            if s == ones[level]:
+                return full
+            m = memo.get((level, s))
+            if m is None:
+                lo, hi = s & ones[level + 1], s >> (1 << (n - level - 1))
+                if lo == hi:
+                    m = expand(level + 1, lo)
+                else:
+                    lit = block.eval(literals[level])
+                    m = (lit & expand(level + 1, lo)) | ((full ^ lit) & expand(level + 1, hi))
+                memo[level, s] = m
+            return m
+
+        return block.eval(f) ^ expand(0, want)
 
     def explain(ctx, point) -> dict:
         holds = bool(ctx.eval(f) >> point & 1)

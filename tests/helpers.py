@@ -327,6 +327,28 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def member_loop_differs(f, sp, sigma):
+    """The engine's verify check as it was written member by member: the
+    disjunction's mask on a block is the union of the rendered members'
+    masks.  A reference for the index-bit evaluation, run on the engine's
+    own blocks."""
+    members = [sp.formula(i) for i in sorted(sigma)]
+
+    def fails(block) -> int:
+        dm = 0
+        for g in members:
+            dm |= block.eval(g)
+            if dm == block.full:
+                break
+        return block.eval(f) ^ dm
+
+    def explain(ctx, point) -> dict:
+        holds = bool(ctx.eval(f) >> point & 1)
+        return {**ctx.at(point), "formula_holds": holds, "disjunction_holds": not holds}
+
+    return fails, explain
+
+
 def per_model_verify_many(sp, items, oracle, bound):
     items = [(f, frozenset(sigma)) for f, sigma in items]
     docs = {}

@@ -5,7 +5,9 @@ their models as the independent ``helpers.reference_models`` does, block masks
 match the reference evaluators of ``helpers`` bit for bit on every model,
 and the block-based reports of verify, verify_many, partition_check,
 check_valid and check_equal match the per-model reference loops.
-Every one of those checks returns the one ``Report`` shape.
+Every one of those checks returns the one ``Report`` shape.  verify's
+index-bit evaluation of a disjunction matches the member-by-member loop
+on the engine's own blocks.
 """
 import itertools
 import random
@@ -14,11 +16,13 @@ import pytest
 
 from helpers import (
     ReferenceModel,
+    member_loop_differs,
     per_model_check_equal,
     per_model_check_valid,
     per_model_partition_check,
     per_model_verify_many,
     random_modal_formula,
+    random_prop_formula,
     reference_contexts,
     reference_models,
 )
@@ -40,8 +44,16 @@ from addnf import (
     verify,
     verify_many,
 )
-from addnf.logics import GFInstance, RelationalOracle, bao_instance, gf_instance, modal_k_instance
+from addnf.logics import (
+    GFInstance,
+    RelationalOracle,
+    bao_instance,
+    gf_instance,
+    modal_k_instance,
+    propositional_instance,
+)
 from addnf.logics.base import BLOCK_MODELS
+from addnf.rewriter import _differs
 from addnf.syntax import vocabulary
 
 # (diamonds, propositions, models compared with contexts()); two diamonds
@@ -434,3 +446,52 @@ def test_free_variables_outside_the_assignment_variables_fail():
     with pytest.raises(EngineError, match="not covered by the assignment variables"):
         verify_many(space(gen, inst.domain), [(Or(formulas[0], body), ())], inst.oracle, bound)
     assert not inst.oracle.check_valid(formulas[0], bound, gen).ok
+
+
+# -- the disjunction read off the index bits ------------------------------------
+#
+# verify evaluates sigma by Shannon expansion over the member index bits;
+# the member-by-member loop of ``helpers.member_loop_differs``, run on the
+# same blocks, must give the same failing mask on every block and the same
+# report.
+
+
+def _index_bit_cases():
+    prop = propositional_instance()
+    for k, props in ((1, ("p", "q")), (2, ("p",))):
+        # Degenerate: every bar item is a bare reference to a base member.
+        gen = Generator(k, frozenset(props), frozenset(), prop.domain.points)
+        rng = random.Random(k)
+        yield f"prop-k{k}", prop, gen, 0, [random_prop_formula(rng, props, 7) for _ in range(3)]
+    for dias, k, bound in ((("dia",), 1, 3), (("dia",), 2, 2), (("a", "b"), 1, 2)):
+        inst = modal_k_instance(dias)
+        gen = Generator(k, {"p"}, set(inst.diamonds), inst.domain.points)
+        rng = random.Random(k * 10 + len(dias))
+        formulas = [random_modal_formula(rng, inst.diamonds[-1], k, 9) for _ in range(3)]
+        yield f"modal-{'-'.join(dias)}-k{k}", inst, gen, bound, formulas
+    for name in sorted(CASES):
+        yield (name, *_case(name))
+
+
+INDEX_BIT_CASES = {case[0]: case[1:] for case in _index_bit_cases()}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_BIT_CASES))
+def test_index_bits_match_the_member_loop(name):
+    inst, gen, bound, formulas = INDEX_BIT_CASES[name]
+    oracle = inst.oracle
+    sp = space(gen, inst.domain)
+    rng = random.Random(name)
+    items = [(formulas[0], frozenset()), (formulas[0], frozenset(range(sp.size)))]
+    for f in formulas:
+        sigma = normalize(f, gen, inst.domain).sigma
+        random_sigma = frozenset(i for i in range(sp.size) if rng.random() < 0.5)
+        items += [(f, sigma), (f, _flip(sigma, rng.randrange(sp.size))), (f, random_sigma)]
+    new = [_differs(f, sp, sigma) for f, sigma in items]
+    old = [member_loop_differs(f, sp, sigma) for f, sigma in items]
+    for block in oracle.blocks(gen, bound):
+        for (fails, _), (ref, _) in zip(new, old):
+            assert fails(block) == ref(block)
+    got = [rep.to_json() for rep in verify_many(sp, items, oracle, bound)]
+    assert got == [rep.to_json() for rep in oracle.check(gen, bound, old)]
+    assert {doc["ok"] for doc in got} == {True, False}

@@ -3,11 +3,15 @@ import math
 import pytest
 
 from addnf import (
+    And,
     CapExceeded,
     ConnectiveSig,
     DomainSystem,
     Generator,
+    Not,
     NotLargeEnough,
+    Prop,
+    conj_all,
     count,
     partition_check,
     render_formula,
@@ -246,3 +250,23 @@ def test_count_visits_only_the_areas_each_degree_reaches():
     with pytest.raises(CapExceeded) as e:
         count(Generator(3, {"p"}, Y, {"a"}), ds)
     assert str(e.value).startswith("space (2, ('p',), ('in', 'wide'), ('a', 'b'))")
+
+
+def test_literals_spell_the_member_index(prop_inst, modal_inst):
+    # Each member is its literals signed by its color and positive bar set:
+    # the index read in binary, first literal most significant, 0 positive.
+    dia = modal_inst.diamonds[0]
+    spaces = [
+        space(Generator(2, {"p"}, {dia}, modal_inst.domain.points), modal_inst.domain),
+        space(Generator(1, {"p", "q"}, frozenset(), prop_inst.domain.points), prop_inst.domain),
+    ]
+    for sp in spaces:
+        literals = sp.literals()
+        nx = len(sp.xtilde)
+        assert len(literals) == nx + len(sp.bar)
+        assert literals[:nx] == tuple(Prop(x) for x in sp.xtilde)
+        for i in (0, 1, 6, sp.size // 2 + 5, sp.size - 1):
+            c = sp.member(i)
+            signs = [x in c.color for x in sp.xtilde] + [t in c.pos_bar for t in range(len(sp.bar))]
+            signed = [g if s else Not(g) for g, s in zip(literals, signs)]
+            assert sp.formula(i) == And(conj_all(signed[:nx]), conj_all(signed[nx:]))

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given
@@ -11,6 +12,7 @@ from addnf import (
     Not,
     Or,
     UnsuitableGenerator,
+    derive_generator,
     disjunction,
     normalize,
     parse_formula,
@@ -19,7 +21,7 @@ from addnf import (
     verify,
     verify_many,
 )
-from addnf.logics import modal_k_instance
+from addnf.logics import build_instance, modal_k_instance
 from helpers import formula_strategy, minterm_sigma, random_modal_formula
 
 
@@ -221,3 +223,39 @@ def test_two_diamonds_share_one_child_space(text, sigma):
     assert r.space.children["dia"] is r.space.children["box"]
     assert sorted(r.sigma) == sigma
     assert verify(f, r, inst.oracle, 2).ok
+
+
+@pytest.mark.parametrize("index", ["size", -1])
+def test_verify_many_rejects_an_index_outside_the_space(index):
+    inst = modal_k_instance()
+    sp = space(Generator(1, {"p"}, set(inst.diamonds), inst.domain.points), inst.domain)
+    i = sp.size if index == "size" else index
+    with pytest.raises(IndexError) as want:
+        sp.member(i)
+    with pytest.raises(IndexError) as got:
+        verify_many(sp, [(parse_formula("p", inst.logic), {0, i})], inst.oracle, 2)
+    assert str(got.value) == str(want.value)
+
+
+def test_verify_renders_no_member_of_the_space():
+    inst = modal_k_instance()  # a fresh instance: its spaces are built here
+    gen = Generator(2, {"p"}, set(inst.diamonds), inst.domain.points)
+    sp = space(gen, inst.domain)
+    f = parse_formula("(dia (and p (dia p)))", inst.logic)
+    sigma = normalize(f, gen, inst.domain).sigma
+    reports = verify_many(sp, [(f, sigma), (f, frozenset())], inst.oracle, 2)
+    assert [r.ok for r in reports] == [True, False]
+    assert sp._formulas == {}
+
+
+def test_wide_space_verify_does_not_grow_with_sigma():
+    # 262144 members and a sigma of 245760: the time must not grow with sigma.
+    t0 = time.perf_counter()
+    inst = build_instance("bao", {"operators": {"g": 2}, "variables": ["x", "y"]})
+    f = parse_formula("(g x y)", inst.logic)
+    r = normalize(f, derive_generator(f, inst.domain), inst.domain)
+    report = verify(f, r, inst.oracle, 2)
+    elapsed = time.perf_counter() - t0
+    assert (r.space.size, len(r.sigma)) == (262144, 245760)
+    assert report.ok and report.contexts == 4104
+    assert elapsed < 15, f"{elapsed:.1f}s"
