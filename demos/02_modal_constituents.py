@@ -24,9 +24,9 @@ print("over {p,q} at degree 2:", count(Generator(2, {"p", "q"}, {dia}, v), ds),
 gen = Generator(1, {"p"}, {dia}, v)
 sp = space(gen, ds)
 print("\ndegree-1 constituents:")
-for c in sp.members:
-    print(f"  #{c.index} color={sorted(c.color)} sub={c.sub_map()}  "
-          f"{render_formula(sp.formula(c.index))}")
+for i in range(sp.size):
+    m = sp.describe_member(i)
+    print(f"  #{i} color={m['color']} sub={m['sub']}  {render_formula(sp.formula(i))}")
 
 # (dia p) keeps the members whose positive diamond set meets {p}.
 f = parse_formula("(dia p)", inst.logic)

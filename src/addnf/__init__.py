@@ -7,7 +7,6 @@ exhaustive finite-model oracles at desk scale.
 """
 from .constituents import (
     DEFAULT_CAP,
-    Constituent,
     ConstituentSpace,
     count,
     partition_check,
@@ -53,7 +52,6 @@ __all__ = [
     "BudgetExceeded",
     "CapExceeded",
     "ConnectiveSig",
-    "Constituent",
     "ConstituentSpace",
     "DEFAULT_CAP",
     "DomainSystem",

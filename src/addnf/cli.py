@@ -172,10 +172,10 @@ def cmd_enumerate(args) -> int:
     gen = _generator(args, inst)
     sp = space(gen, inst.domain, args.cap)
     members = []
-    for c in sp.members:
-        doc = c.describe()
+    for i in range(sp.size):
+        doc = sp.describe_member(i)
         if args.render:
-            doc["formula"] = render_formula(sp.formula(c.index), inst.logic)
+            doc["formula"] = render_formula(sp.formula(i), inst.logic)
         members.append(doc)
     _emit({"key": gen.describe(), "size": sp.size, "members": members}, args.fmt)
     return 0

@@ -19,8 +19,8 @@ Canonical order, fixed once so golden outputs are stable:
   Boolean function of the literals, and the rewriter evaluates a
   disjunction of members by splitting the index bits, not member by member.
 
-Spaces are memoized per domain system and immutable once built; the
-member list and rendered formulas materialize lazily.
+Spaces are memoized per domain system and immutable once built; a member
+is only its index, and its rendered formula materializes lazily.
 """
 from __future__ import annotations
 
@@ -49,61 +49,6 @@ class BarItem:
     children: tuple[int, ...]
 
 
-class Constituent:
-    """A single normal form: its color plus its positively signed bar set."""
-
-    __slots__ = ("space", "index", "color", "pos_bar")
-
-    def __init__(self, space, index, color, pos_bar):
-        self.space = space
-        self.index = index
-        self.color = color          # frozenset of positively signed propositions
-        self.pos_bar = pos_bar      # frozenset of positively signed bar positions
-
-    def sub(self, conn: ConnectiveSig) -> frozenset[tuple[int, ...]]:
-        """Positively signed argument tuples under ``conn``."""
-        return frozenset(
-            self.space.bar[t].children
-            for t in self.pos_bar
-            if self.space.bar[t].conn == conn
-        )
-
-    def sub_map(self) -> dict[str, list[tuple[int, ...]]]:
-        out: dict[str, list] = {}
-        for t in sorted(self.pos_bar):
-            item = self.space.bar[t]
-            if item.conn is not None:
-                out.setdefault(item.conn.key, []).append(list(item.children))
-        return out
-
-    def base_positives(self) -> frozenset[int] | None:
-        """Positively signed degree-(k-1) indices, in the degenerate branch."""
-        if not self.space.degenerate:
-            return None
-        return frozenset(self.space.bar[t].children[0] for t in self.pos_bar)
-
-    def describe(self) -> dict:
-        doc = {"index": self.index, "color": sorted(self.color)}
-        if self.space.k > 0:
-            if self.space.degenerate:
-                doc["base"] = sorted(self.base_positives())
-            else:
-                doc["sub"] = self.sub_map()
-        return doc
-
-    def _ident(self):
-        return (self.space.gen.key, self.color, self.pos_bar)
-
-    def __eq__(self, other):
-        return isinstance(other, Constituent) and self._ident() == other._ident()
-
-    def __hash__(self):
-        return hash(self._ident())
-
-    def __repr__(self):
-        return f"Constituent({self.space.gen.key}, #{self.index})"
-
-
 def _out_of_range(i: int, size: int) -> IndexError:
     return IndexError(f"member index {i} out of range for size {size}")
 
@@ -122,10 +67,9 @@ class ConstituentSpace:
         self.children = children              # conn key -> child ConstituentSpace
         self.base = base                      # degenerate-branch child space
         self.size = (1 << len(xtilde)) << len(bar)
-        self._members = None
         self._formulas: dict[int, Formula] = {}
         self._signs = None                    # (literals, their negations)
-        self._masks = {}
+        self._sign_masks: dict[int, int] = {}
 
     @property
     def degenerate(self) -> bool:
@@ -135,30 +79,28 @@ class ConstituentSpace:
     def full_mask(self) -> int:
         return (1 << self.size) - 1
 
-    def member(self, i: int) -> Constituent:
+    def describe_member(self, i: int) -> dict:
+        """Member i's ``enumerate`` document, read off its index bits: its
+        positive X-tilde propositions and, at degree >= 1, its positive bar
+        items, as argument tuples per connective (``sub``) or base indices."""
+        nx, positive = len(self.xtilde), self._positive(i)
+        doc = {"index": i, "color": [x for x, s in zip(self.xtilde, positive) if s]}
+        if self.k > 0:
+            items = [item for item, s in zip(self.bar, positive[nx:]) if s]
+            if self.degenerate:
+                doc["base"] = [item.children[0] for item in items]
+            else:
+                sub: dict[str, list] = {}
+                for item in items:
+                    sub.setdefault(item.conn.key, []).append(list(item.children))
+                doc["sub"] = sub
+        return doc
+
+    def _positive(self, i: int) -> list[bool]:
+        """Member i's sign word: whether each literal is signed positively."""
         if not 0 <= i < self.size:
             raise _out_of_range(i, self.size)
-        nx, nbar = len(self.xtilde), len(self.bar)
-        acode, bcode = divmod(i, 1 << nbar) if nbar else (i, 0)
-        color = frozenset(
-            self.xtilde[j] for j in range(nx) if not (acode >> (nx - 1 - j)) & 1
-        )
-        pos = frozenset(
-            t for t in range(nbar) if not (bcode >> (nbar - 1 - t)) & 1
-        )
-        return Constituent(self, i, color, pos)
-
-    @property
-    def members(self) -> list[Constituent]:
-        if self._members is None:
-            self._members = [self.member(i) for i in range(self.size)]
-        return self._members
-
-    def __len__(self):
-        return self.size
-
-    def __iter__(self):
-        return iter(self.members)
+        return [not i >> j & 1 for j in reversed(range(len(self.xtilde) + len(self.bar)))]
 
     # -- rendering ------------------------------------------------------------
 
@@ -183,12 +125,9 @@ class ConstituentSpace:
         >= 1) with the signed bar block, each block in canonical order."""
         f = self._formulas.get(i)
         if f is None:
-            if not 0 <= i < self.size:
-                raise _out_of_range(i, self.size)
-            literals = self.literals()
-            negated = self._signs[1]
-            n = len(literals)
-            signed = [negated[j] if i >> (n - 1 - j) & 1 else g for j, g in enumerate(literals)]
+            positive = self._positive(i)
+            literals, negated = self.literals(), self._signs[1]
+            signed = [g if s else ng for g, ng, s in zip(literals, negated, positive)]
             nx = len(self.xtilde)
             f = conj_all(signed[:nx])
             if self.bar:
@@ -199,36 +138,28 @@ class ConstituentSpace:
     # -- index masks (used by the rewriter) ------------------------------------
 
     def index_mask(self, indices) -> int:
-        """The mask of a set of member indices; an index out of range
-        raises the IndexError of ``member``."""
+        """The mask of a set of member indices, read once; an index out of
+        range raises the IndexError of ``describe_member`` for the least
+        such index."""
         size = self.size
         digits = bytearray(b"0") * size  # bit i is digit i from the right
+        outside = []
         for i in indices:
-            if not 0 <= i < size:
-                raise _out_of_range(min(j for j in indices if not 0 <= j < size), size)
-            digits[size - 1 - i] = 49  # "1"
+            if 0 <= i < size:
+                digits[size - 1 - i] = 49  # "1"
+            else:
+                outside.append(i)
+        if outside:
+            raise _out_of_range(min(outside), size)
         return int(digits, 2)
 
-    def literal_mask(self, prop: str) -> int:
-        """Mask of members whose color contains ``prop``."""
-        m = self._masks.get(("p", prop))
+    def sign_mask(self, j: int) -> int:
+        """Mask of the members whose literal ``j``, in ``literals()`` order,
+        is signed positively: those whose index has bit ``n - 1 - j`` clear."""
+        m = self._sign_masks.get(j)
         if m is None:
-            try:
-                j = self.xtilde.index(prop)
-            except ValueError:
-                raise EngineError(
-                    f"proposition {prop!r} is not in X-tilde {list(self.xtilde)}"
-                ) from None
-            m = zero_bit_pattern(self.size, len(self.bar) + len(self.xtilde) - 1 - j)
-            self._masks[("p", prop)] = m
-        return m
-
-    def bar_pos_mask(self, t: int) -> int:
-        """Mask of members whose bar item ``t`` is positively signed."""
-        m = self._masks.get(("b", t))
-        if m is None:
-            m = zero_bit_pattern(self.size, len(self.bar) - 1 - t)
-            self._masks[("b", t)] = m
+            n = len(self.xtilde) + len(self.bar)
+            m = self._sign_masks[j] = zero_bit_pattern(self.size, n - 1 - j)
         return m
 
     def describe(self) -> dict:
@@ -236,6 +167,12 @@ class ConstituentSpace:
 
     def __repr__(self):
         return f"ConstituentSpace({self.gen.key}, size={self.size})"
+
+
+def _compatible(gen: Generator, ds: DomainSystem, area) -> tuple[ConnectiveSig, ...]:
+    """The connectives of ``gen`` compatible with (X, area), in key order:
+    the bar sources at ``area``, or (if none) ``area`` one degree down."""
+    return tuple(c for c in gen.sorted_conns() if ds.compatible(c, gen.X, area))
 
 
 def count(gen: Generator, ds: DomainSystem) -> int:
@@ -247,8 +184,9 @@ def count(gen: Generator, ds: DomainSystem) -> int:
     ``_MAX_COUNT_BITS``, and CapExceeded names the first degree that does.
     """
     cache = ds.cache("counts")
-    if gen.key in cache:
-        return cache[gen.key]
+    n = cache.get(gen.key)
+    if n is not None:
+        return n
     if not ds.large_enough(gen.X, gen.E):
         raise NotLargeEnough(
             f"E={sorted(gen.E)} is not large enough for X={sorted(gen.X)}"
@@ -259,14 +197,14 @@ def count(gen: Generator, ds: DomainSystem) -> int:
     # is compatible at its own j2 (compatibility implies largeness there),
     # so every source is its own source again: after the first step the
     # sets only grow, and they reach a fixed point however large k is.
-    conns = gen.sorted_conns()
     below: dict[frozenset, tuple] = {}
     reached = [frozenset((gen.E,))]
     while len(reached) <= gen.k:
         for area in reached[-1]:
             if area not in below:
-                compatible = [c for c in conns if ds.compatible(c, gen.X, area)]
-                below[area] = tuple((ds.j2_of(c), c.rank) for c in compatible) or ((area, 1),)
+                below[area] = tuple(
+                    (ds.j2_of(c), c.rank) for c in _compatible(gen, ds, area)
+                ) or ((area, 1),)
         nxt = frozenset(a for area in reached[-1] for a, _ in below[area])
         if nxt == reached[-1]:
             break
@@ -303,56 +241,50 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
     Raises NotLargeEnough when E cannot support X, and CapExceeded (with
     the exact offending cardinality) when the space would outgrow ``cap``.
     """
+    n = count(gen, ds)
+    if n > cap:
+        raise CapExceeded(
+            f"space {gen.key} has 2**{n.bit_length() - 1} members, above the cap {cap}",
+            count=n,
+        )
     cache = ds.cache("spaces")
     sp = cache.get(gen.key)
-    if sp is None:
-        n = count(gen, ds)
-        if n > cap:
-            raise CapExceeded(
-                f"space {gen.key} has 2**{n.bit_length() - 1} members, above the cap {cap}",
-                count=n,
-            )
-        xtilde = tuple(sorted(ds.tilde(gen.X, gen.E)))
-        compatible, bar, children, base = (), (), {}, None
-        if gen.k > 0:
-            compatible = tuple(
-                c for c in gen.sorted_conns() if ds.compatible(c, gen.X, gen.E)
-            )
-            down = gen.k - 1
-            if compatible:
-                items = []
-                for conn in compatible:
-                    child = space(Generator(down, gen.X, gen.Y, ds.j2_of(conn)), ds, cap)
-                    children[conn.key] = child
-                    items.extend(
-                        BarItem(conn, tup)
-                        for tup in itertools.product(range(child.size), repeat=conn.rank)
-                    )
-                bar = tuple(items)
-            else:
-                base = space(Generator(down, gen.X, gen.Y, gen.E), ds, cap)
-                bar = tuple(BarItem(None, (i,)) for i in range(base.size))
-            if not bar:
-                raise EngineError(f"empty bar set for {gen.key}; inconsistent system")
-        sp = ConstituentSpace(gen, ds, xtilde, compatible, bar, children, base)
-        if sp.size != n:
-            raise EngineError(f"space {gen.key}: size {sp.size} disagrees with count {n}")
-        # Re-assert the domain condition on one representative bar member:
-        # it holds by construction unless the instance supplied broken j-maps.
-        if bar and bar[0].conn is not None:
-            first = bar[0]
-            child = children[first.conn.key]
-            args = tuple(child.formula(c) for c in first.children)
-            if not ds.in_domain(first.conn, args):
-                raise EngineError(
-                    f"bar members of {gen.key} fall outside D({first.conn.key})"
+    if sp is not None:
+        return sp
+    xtilde = tuple(sorted(ds.tilde(gen.X, gen.E)))
+    compatible, bar, children, base = (), (), {}, None
+    if gen.k > 0:
+        compatible = _compatible(gen, ds, gen.E)
+        down = gen.k - 1
+        if compatible:
+            items = []
+            for conn in compatible:
+                child = space(Generator(down, gen.X, gen.Y, ds.j2_of(conn)), ds, cap)
+                children[conn.key] = child
+                items.extend(
+                    BarItem(conn, tup)
+                    for tup in itertools.product(range(child.size), repeat=conn.rank)
                 )
-        cache[gen.key] = sp
-    elif sp.size > cap:
-        raise CapExceeded(
-            f"space {gen.key} has 2**{sp.size.bit_length() - 1} members, above the cap {cap}",
-            count=sp.size,
-        )
+            bar = tuple(items)
+        else:
+            base = space(Generator(down, gen.X, gen.Y, gen.E), ds, cap)
+            bar = tuple(BarItem(None, (i,)) for i in range(base.size))
+        if not bar:
+            raise EngineError(f"empty bar set for {gen.key}; inconsistent system")
+    sp = ConstituentSpace(gen, ds, xtilde, compatible, bar, children, base)
+    if sp.size != n:
+        raise EngineError(f"space {gen.key}: size {sp.size} disagrees with count {n}")
+    # Re-assert the domain condition on one representative bar member:
+    # it holds by construction unless the instance supplied broken j-maps.
+    if bar and bar[0].conn is not None:
+        first = bar[0]
+        child = children[first.conn.key]
+        args = tuple(child.formula(c) for c in first.children)
+        if not ds.in_domain(first.conn, args):
+            raise EngineError(
+                f"bar members of {gen.key} fall outside D({first.conn.key})"
+            )
+    cache[gen.key] = sp
     return sp
 
 

@@ -74,7 +74,13 @@ class _SpaceModel(Context):
         reached[sp] = self
 
     def prop_mask(self, name: str) -> int:
-        return self.sp.literal_mask(name)
+        try:
+            j = self.sp.xtilde.index(name)
+        except ValueError:
+            raise EngineError(
+                f"proposition {name!r} is not in X-tilde {list(self.sp.xtilde)}"
+            ) from None
+        return self.sp.sign_mask(j)
 
     def _compute(self, f: Formula) -> int:
         if not isinstance(f, App):
@@ -88,12 +94,12 @@ class _SpaceModel(Context):
             )
         model = self.reached.get(child) or _SpaceModel(child, self.reached)
         arg_masks = [model.eval(a) for a in f.args]
-        mask = 0
+        nx, mask = len(sp.xtilde), 0
         for t, item in enumerate(sp.bar):
             if item.conn != conn:
                 continue
             if all((arg_masks[j] >> c) & 1 for j, c in enumerate(item.children)):
-                mask |= sp.bar_pos_mask(t)
+                mask |= sp.sign_mask(nx + t)
         return mask
 
 

@@ -61,6 +61,36 @@ def minterm_sigma(f, props) -> frozenset[int]:
     return frozenset(out)
 
 
+# -- reference member decode ---------------------------------------------------
+
+
+def reference_decode(sp, i):
+    """Member i of ``sp`` as (color, positive bar positions), decoded the
+    way the engine once stored each member: divmod the index into a color
+    code over X-tilde and a bar code, a cleared bit meaning positive."""
+    nx, nbar = len(sp.xtilde), len(sp.bar)
+    acode, bcode = divmod(i, 1 << nbar) if nbar else (i, 0)
+    color = frozenset(sp.xtilde[j] for j in range(nx) if not (acode >> (nx - 1 - j)) & 1)
+    pos_bar = frozenset(t for t in range(nbar) if not (bcode >> (nbar - 1 - t)) & 1)
+    return color, pos_bar
+
+
+def reference_describe(sp, i) -> dict:
+    """The ``enumerate`` document of member i, built from ``reference_decode``."""
+    color, pos_bar = reference_decode(sp, i)
+    doc = {"index": i, "color": sorted(color)}
+    if sp.k > 0:
+        if sp.degenerate:
+            doc["base"] = sorted(sp.bar[t].children[0] for t in pos_bar)
+        else:
+            sub = {}
+            for t in sorted(pos_bar):
+                item = sp.bar[t]
+                sub.setdefault(item.conn.key, []).append(list(item.children))
+            doc["sub"] = sub
+    return doc
+
+
 # -- formula generators --------------------------------------------------------
 
 

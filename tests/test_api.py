@@ -22,6 +22,7 @@ RETIRED = (
     "PropositionalInstance",
     "KripkeOracle",
     "ComplexAlgebraOracle",
+    "Constituent",
 )
 
 
@@ -62,5 +63,5 @@ def test_retired_instance_fields_are_gone():
 def test_retired_rewriter_and_constituent_fields_are_gone():
     assert "trace" not in inspect.signature(addnf.normalize).parameters
     assert "trace" not in {f.name for f in dataclasses.fields(addnf.NormalizationResult)}
-    assert not hasattr(addnf.constituents.Constituent, "degree")
-    assert not hasattr(addnf.constituents.Constituent, "to_formula")
+    for name in ("member", "members", "literal_mask", "bar_pos_mask", "__iter__", "__len__"):
+        assert not hasattr(addnf.ConstituentSpace, name), name

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from helpers import reference_decode, reference_describe
 
 from addnf import (
     And,
@@ -29,8 +30,8 @@ def test_prop_minterms_in_canonical_order(prop_inst):
         "(and (not p) q)",
         "(and (not p) (not q))",
     ]
-    assert sp.member(1).color == {"p"}
-    assert sp.member(3).color == frozenset()
+    assert sp.describe_member(1)["color"] == ["p"]
+    assert sp.describe_member(3)["color"] == []
 
 
 def test_modal_counts(modal_inst):
@@ -67,7 +68,7 @@ def test_counts_match_enumeration(prop_inst, modal_inst, gf_r, bao_x):
     cases.append((bao_x, Generator(1, {"x"}, {fsig}, bao_x.domain.points)))
     for inst, gen in cases:
         sp = space(gen, inst.domain)
-        assert sp.size == count(gen, inst.domain) == len(sp.members)
+        assert sp.size == count(gen, inst.domain) == len({sp.formula(i) for i in range(sp.size)})
 
 
 def test_not_large_enough(gf_r):
@@ -76,28 +77,52 @@ def test_not_large_enough(gf_r):
         count(Generator(0, {atom}, frozenset(), {"v"}), gf_r.domain)
 
 
-def test_member_decode_round_trip(modal_inst):
-    dia = modal_inst.diamonds[0]
-    sp = space(Generator(1, {"p"}, {dia}, modal_inst.domain.points), modal_inst.domain)
-    for i in range(sp.size):
-        c = sp.member(i)
-        assert c.index == i
-        assert sp.members[i] == c
-    assert sp.member(0) != sp.member(1)
-    assert len({sp.member(i) for i in range(sp.size)}) == sp.size
+def _member_corpus():
+    """Eleven spaces: prop k=0..2 (degenerate above 0), modal K with one
+    diamond at k=0..2 and with two at k=0..1, BAO with a binary g at
+    k=0..1, and a GF space."""
+    from addnf.logics import build_instance, gf_instance, modal_k_instance
+
+    prop, modal = build_instance("prop"), modal_k_instance()
+    two = modal_k_instance(("dia", "box"))
+    bao = build_instance("bao", {"operators": {"g": 2}, "variables": ["x"]})
+    gf = gf_instance(("u", "v"), {"R": 2})
+    atom = gf.atom("R", "v", "v")
+    out = [(prop, Generator(k, {"p"}, frozenset(), prop.domain.points)) for k in range(3)]
+    out += [(modal, Generator(k, {"p"}, set(modal.diamonds), modal.domain.points))
+            for k in range(3)]
+    out += [(two, Generator(k, {"p"}, set(two.diamonds), two.domain.points)) for k in range(2)]
+    out += [(bao, Generator(k, {"x"}, set(bao.logic.connectives.values()), bao.domain.points))
+            for k in range(2)]
+    quants = frozenset(gf.quantifier(b, atom) for b in [(), ("v",)])
+    out.append((gf, Generator(1, {atom}, quants, {"v"})))
+    return [space(gen, inst.domain) for inst, gen in out]
+
+
+def test_member_decode_round_trip():
+    spaces = _member_corpus()
+    assert len(spaces) == 11
+    assert any(sp.degenerate for sp in spaces) and any(sp.children for sp in spaces)
+    for sp in spaces:
+        docs = [sp.describe_member(i) for i in range(sp.size)]
+        assert docs == [reference_describe(sp, i) for i in range(sp.size)], sp
+        assert len({repr(d) for d in docs}) == sp.size
+        for i in (sp.size, -1):
+            with pytest.raises(IndexError, match=f"member index {i} out of range for size "
+                                                 f"{sp.size}"):
+                sp.describe_member(i)
 
 
 def test_degree1_modal_structure(modal_inst):
     dia = modal_inst.diamonds[0]
     sp = space(Generator(1, {"p"}, {dia}, modal_inst.domain.points), modal_inst.domain)
     assert sp.size == 8 and len(sp.bar) == 2
-    first = sp.member(0)
-    assert first.color == {"p"}
-    assert first.sub(dia) == {(0,), (1,)}
-    assert first.sub_map() == {"dia": [[0], [1]]}
+    first = sp.describe_member(0)
+    assert first["color"] == ["p"]
+    assert first["sub"] == {"dia": [[0], [1]]}
     assert render_formula(sp.formula(0)) == "(and p (and (dia p) (dia (not p))))"
-    last = sp.member(7)
-    assert last.color == frozenset() and last.sub(dia) == frozenset()
+    last = sp.describe_member(7)
+    assert last["color"] == [] and last["sub"] == {}
 
 
 def test_rendered_members_pairwise_distinct(modal_inst, gf_r):
@@ -117,9 +142,9 @@ def test_degenerate_branch(prop_inst):
     sp = space(gen, prop_inst.domain)
     assert sp.degenerate
     assert sp.size == 2 * 2 ** 2 == 8
-    c = sp.member(0)
-    assert c.base_positives() == {0, 1}
-    assert c.sub_map() == {}
+    c = sp.describe_member(0)
+    assert c["base"] == [0, 1]
+    assert "sub" not in c
     assert render_formula(sp.formula(0)) == "(and p (and p (not p)))"
     gen2 = Generator(2, {"p"}, frozenset(), prop_inst.domain.points)
     assert count(gen2, prop_inst.domain) == 2 * 2 ** 8 == 512
@@ -140,12 +165,20 @@ def test_bar_grouped_by_connective_key():
 def test_masks_agree_with_members(modal_inst):
     dia = modal_inst.diamonds[0]
     sp = space(Generator(1, {"p", "q"}, {dia}, modal_inst.domain.points), modal_inst.domain)
-    lm = sp.literal_mask("q")
     for i in range(sp.size):
-        assert bool(lm >> i & 1) == ("q" in sp.member(i).color)
-    bm = sp.bar_pos_mask(2)
-    for i in range(sp.size):
-        assert bool(bm >> i & 1) == (2 in sp.member(i).pos_bar)
+        color, pos_bar = reference_decode(sp, i)
+        signs = [x in color for x in sp.xtilde] + [t in pos_bar for t in range(len(sp.bar))]
+        assert [bool(sp.sign_mask(j) >> i & 1) for j in range(len(signs))] == signs
+
+
+def test_index_mask_reads_a_one_shot_iterable_once(modal_inst):
+    dia = modal_inst.diamonds[0]
+    sp = space(Generator(1, {"p"}, {dia}, modal_inst.domain.points), modal_inst.domain)
+    assert sp.index_mask(iter([0, 5])) == 0b100001
+    with pytest.raises(IndexError, match="member index 9 out of range for size 8"):
+        sp.index_mask(iter([0, 99, 9]))
+    with pytest.raises(IndexError, match="member index -1 out of range for size 8"):
+        sp.index_mask(i for i in [0, 99, -1])
 
 
 def test_partition_prop_exact(prop_inst):
@@ -173,6 +206,9 @@ def test_space_memoized(modal_inst):
     dia = modal_inst.diamonds[0]
     gen = Generator(1, {"p"}, {dia}, modal_inst.domain.points)
     assert space(gen, modal_inst.domain) is space(gen, modal_inst.domain)
+    with pytest.raises(CapExceeded, match=r"has 2\*\*3 members, above the cap 4") as e:
+        space(gen, modal_inst.domain, cap=4)  # the cap binds a cached space too
+    assert e.value.count == 8
 
 
 def test_astronomical_count_is_exact(modal_inst):
@@ -266,7 +302,7 @@ def test_literals_spell_the_member_index(prop_inst, modal_inst):
         assert len(literals) == nx + len(sp.bar)
         assert literals[:nx] == tuple(Prop(x) for x in sp.xtilde)
         for i in (0, 1, 6, sp.size // 2 + 5, sp.size - 1):
-            c = sp.member(i)
-            signs = [x in c.color for x in sp.xtilde] + [t in c.pos_bar for t in range(len(sp.bar))]
+            color, pos_bar = reference_decode(sp, i)
+            signs = [x in color for x in sp.xtilde] + [t in pos_bar for t in range(len(sp.bar))]
             signed = [g if s else Not(g) for g, s in zip(literals, signs)]
             assert sp.formula(i) == And(conj_all(signed[:nx]), conj_all(signed[nx:]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from addnf import (
     And,
+    EngineError,
     Generator,
     NormalizationResult,
     Not,
@@ -22,7 +23,7 @@ from addnf import (
     verify_many,
 )
 from addnf.logics import build_instance, modal_k_instance
-from helpers import formula_strategy, minterm_sigma, random_modal_formula
+from helpers import formula_strategy, minterm_sigma, random_modal_formula, reference_describe
 
 
 def _pgen(prop_inst, props=("p", "q")):
@@ -54,7 +55,7 @@ def test_modal_golden(modal_inst):
     # exactly the members with a non-empty positive diamond set
     sp = r2.space
     assert r2.sigma == frozenset(
-        i for i in range(sp.size) if sp.member(i).sub(dia)
+        i for i in range(sp.size) if reference_describe(sp, i)["sub"].get(dia.key)
     )
 
 
@@ -231,10 +232,24 @@ def test_verify_many_rejects_an_index_outside_the_space(index):
     sp = space(Generator(1, {"p"}, set(inst.diamonds), inst.domain.points), inst.domain)
     i = sp.size if index == "size" else index
     with pytest.raises(IndexError) as want:
-        sp.member(i)
+        sp.describe_member(i)
     with pytest.raises(IndexError) as got:
         verify_many(sp, [(parse_formula("p", inst.logic), {0, i})], inst.oracle, 2)
     assert str(got.value) == str(want.value)
+    with pytest.raises(IndexError) as once:
+        verify_many(sp, [(parse_formula("p", inst.logic), (j for j in [0, 99, i]))],
+                    inst.oracle, 2)
+    assert str(once.value) == str(want.value)
+
+
+def test_a_proposition_outside_x_tilde_is_an_engine_error():
+    from addnf.rewriter import _SpaceModel
+
+    inst = modal_k_instance()
+    sp = space(Generator(1, {"p"}, set(inst.diamonds), inst.domain.points), inst.domain)
+    assert _SpaceModel(sp, {}).prop_mask("p") == sp.sign_mask(0)
+    with pytest.raises(EngineError, match=r"proposition 'q' is not in X-tilde \['p'\]"):
+        _SpaceModel(sp, {}).prop_mask("q")
 
 
 def test_verify_renders_no_member_of_the_space():
