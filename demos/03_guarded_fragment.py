@@ -30,8 +30,10 @@ print("free variables (iota):", sorted(ds.iota(ok)))
 # free(S v) = {v} does not fit under free(R u u) = {u}: rejected.
 try:
     parse_formula("(ex (u) (R u u) (S v))", inst.logic)
-except DomainViolation as e:
-    print("rejected:", e)
+except DomainViolation:
+    body, guard = parse_formula("(S v)", inst.logic), parse_formula("(R u u)", inst.logic)
+    print(f"rejected: the body's free variables {sorted(ds.iota(body))} are not covered "
+          f"by the guard (R u u) over {sorted(ds.iota(guard))}")
 
 # The footprint of a quantified formula comes from the borders alone:
 # guard variables minus the bound tuple.

@@ -40,7 +40,6 @@ from .syntax import (
     disj_all,
     parse_formula,
     render_formula,
-    validate_domains,
     vocabulary,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "render_formula",
     "space",
     "suitable",
-    "validate_domains",
     "verify",
     "verify_many",
     "vocabulary",

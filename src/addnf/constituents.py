@@ -172,7 +172,7 @@ class ConstituentSpace:
 def _compatible(gen: Generator, ds: DomainSystem, area) -> tuple[ConnectiveSig, ...]:
     """The connectives of ``gen`` compatible with (X, area), in key order:
     the bar sources at ``area``, or (if none) ``area`` one degree down."""
-    return tuple(c for c in gen.sorted_conns() if ds.compatible(c, gen.X, area))
+    return tuple(c for c in gen.sorted_conns if ds.compatible(c, gen.X, area))
 
 
 def count(gen: Generator, ds: DomainSystem) -> int:

@@ -10,6 +10,7 @@ tuples whose arguments all have iota inside ``j2``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from . import syntax
 from .errors import EngineError, NotLargeEnough
@@ -187,7 +188,7 @@ class Generator:
         if self.k < 0:
             raise EngineError(f"degree must be a natural number, got {self.k}")
 
-    @property
+    @cached_property
     def key(self) -> tuple:
         return (
             self.k,
@@ -196,8 +197,9 @@ class Generator:
             tuple(sorted(self.E)),
         )
 
-    def sorted_conns(self) -> list[ConnectiveSig]:
-        return sorted(self.Y, key=lambda c: c.key)
+    @cached_property
+    def sorted_conns(self) -> tuple[ConnectiveSig, ...]:
+        return tuple(sorted(self.Y, key=lambda c: c.key))
 
     def describe(self) -> dict:
         return {

@@ -16,21 +16,10 @@ for validity and is documented as a bounded check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from ..errors import EngineError
 from ..syntax import And, ConnectiveSig, Formula, LogicDef, Not, Or, Prop, render_formula
 from .base import Instance, RelationalOracle, one_point_domain
-
-
-def _zero_one(least: str, token: str) -> Formula | None:
-    """The literal ``0`` or ``1`` over the least symbol; None for other tokens."""
-    d = Prop(least)
-    if token == "0":
-        return And(d, Not(d))
-    if token == "1":
-        return Or(d, Not(d))
-    return None
 
 
 @dataclass
@@ -39,15 +28,11 @@ class BAOInstance(Instance):
     constants: tuple[str, ...]
     variables: tuple[str, ...]
 
-    @property
-    def least_symbol(self) -> str:
-        return min(self.variables + self.constants)
-
     def zero(self) -> Formula:
-        return _zero_one(self.least_symbol, "0")
+        return self.logic.tokens["0"]
 
     def unit(self) -> Formula:
-        return _zero_one(self.least_symbol, "1")
+        return self.logic.tokens["1"]
 
     def render_term(self, f: Formula) -> str:
         return render_formula(f, self.logic)
@@ -69,6 +54,7 @@ def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
         raise EngineError("operator names must not collide with symbols")
 
     sigs = {name: ConnectiveSig(name, rank) for name, rank in sorted(operators.items())}
+    d = Prop(min(symbols))
     logic = LogicDef(
         name="bao",
         domain=one_point_domain(sigs.values()),
@@ -78,7 +64,7 @@ def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
         spell_and="times",
         spell_or="plus",
         sugar=False,
-        token_form=partial(_zero_one, min(symbols)),
+        tokens={"0": And(d, Not(d)), "1": Or(d, Not(d))},
     )
     return BAOInstance(
         logic=logic,

@@ -387,10 +387,14 @@ class RelationalBlock(PackedBlock):
         return out
 
     def app_mask(self, conn, arg_masks) -> int:
+        try:
+            rows = self.edges[conn.key]
+        except KeyError:
+            raise EngineError(f"connective {conn.key!r} has no relation in this model") from None
         m = arg_masks[0]
         first = [m >> u for u in range(self.points)]
         out = 0
-        for w, row in enumerate(self.edges[conn.key]):
+        for w, row in enumerate(rows):
             acc = 0
             for u, rest, edge in row:
                 edge &= first[u]
@@ -429,7 +433,7 @@ class RelationalOracle(PackedOracle):
 
     def where(self, gen: Generator, size: int) -> Where:
         props = sorted(gen.X)
-        conns = gen.sorted_conns()
+        conns = gen.sorted_conns
         values = stacked(0, [size] * len(props))
         codes = stacked(size * len(props), [size ** (c.rank + 1) for c in conns])
         return Where(

@@ -28,19 +28,8 @@ import itertools
 from dataclasses import dataclass
 
 from ..domain_system import DomainSystem, Generator
-from ..errors import DomainViolation, EngineError, ParseError
-from ..syntax import (
-    And,
-    App,
-    ConnectiveSig,
-    Formula,
-    GuardPayload,
-    LogicDef,
-    Not,
-    Or,
-    Prop,
-    _node_pos,
-)
+from ..errors import EngineError
+from ..syntax import And, App, ConnectiveSig, Formula, GuardPayload, LogicDef, Not, Or, Prop
 from .base import DEFAULT_BUDGET, Instance, PackedBlock, PackedOracle, Where, stacked
 
 EQ = "="
@@ -52,14 +41,6 @@ MAX_ATOMS = 4096
 
 def _atom_id(rel: str, args) -> str:
     return f"({rel} {' '.join(args)})"
-
-
-def _quantifier(connectives: dict[str, ConnectiveSig], bound, guard_id: str) -> ConnectiveSig:
-    key = ConnectiveSig("ex", 1, payload=GuardPayload(tuple(sorted(bound)), guard_id)).key
-    sig = connectives.get(key)
-    if sig is None:
-        raise EngineError(f"no such quantifier {key!r} in this instance")
-    return sig
 
 
 @dataclass
@@ -76,7 +57,11 @@ class GFInstance(Instance):
         return aid
 
     def quantifier(self, bound, guard_id: str) -> ConnectiveSig:
-        return _quantifier(self.logic.connectives, bound, guard_id)
+        key = ConnectiveSig("ex", 1, payload=GuardPayload(tuple(sorted(bound)), guard_id)).key
+        sig = self.logic.connectives.get(key)
+        if sig is None:
+            raise EngineError(f"no such quantifier {key!r} in this instance")
+        return sig
 
 
 def gf_validate(f: Formula, inst: GFInstance) -> bool:
@@ -155,59 +140,11 @@ def gf_instance(variables=("u", "v"), relations=None, equality: bool = False) ->
         j2=j2,
     )
 
-    def variable(node) -> str:
-        if isinstance(node, list) or node.text not in variables:
-            raise ParseError(f"expected a variable of {list(variables)}", *_node_pos(node))
-        return node.text
-
-    def parse_compound(head, args, head_tok, interpret):
-        """A guarded quantifier ``(ex (vars) guard body)`` or a relational atom."""
-        if head == "ex":
-            if len(args) != 3:
-                raise ParseError("expected (ex (<vars>) <guard-atom> <body>)",
-                                 head_tok.line, head_tok.col)
-            vars_node, guard_node, body_node = args
-            if not isinstance(vars_node, list):
-                raise ParseError("expected a (possibly empty) variable list",
-                                 *_node_pos(vars_node))
-            bound = [variable(node) for node in vars_node[1:]]
-            guard = interpret(guard_node)
-            if not isinstance(guard, Prop) or guard.name not in atoms:
-                raise ParseError("the guard must be an atom", *_node_pos(guard_node))
-            guard_vars = frozenset(atoms[guard.name][1])
-            extra = frozenset(bound) - guard_vars
-            if extra:
-                raise ParseError(
-                    f"bound variables {sorted(extra)} do not occur in the guard {guard.name}",
-                    head_tok.line, head_tok.col,
-                )
-            sig = _quantifier(connectives, bound, guard.name)
-            body = interpret(body_node)
-            failures = ds.domain_failures(sig, (body,))
-            if failures:
-                _, it, border = failures[0]
-                raise DomainViolation(
-                    f"the body's free variables {sorted(it)} are not covered by "
-                    f"the guard {guard.name} over {sorted(border)}"
-                )
-            return App(sig, (body,))
-        if head != EQ and head not in relations:
-            return None
-        if head == EQ and not equality:
-            raise ParseError("equality is disabled in this instance",
-                             head_tok.line, head_tok.col)
-        arity = 2 if head == EQ else relations[head]
-        if len(args) != arity:
-            raise ParseError(f"{head!r} has arity {arity}, got {len(args)}",
-                             head_tok.line, head_tok.col)
-        return Prop(_atom_id(head, [variable(node) for node in args]))
-
     logic = LogicDef(
         name="gf",
         domain=ds,
         connectives=connectives,
         propositions=frozenset(atoms),
-        compound_form=parse_compound,
     )
     return GFInstance(
         logic=logic,

@@ -4,17 +4,19 @@ Surface grammar (UTF-8 text)::
 
     formula := prop | (not f) | (and f f) | (or f f) | (<conn> f ... f)
 
-Guarded quantifiers are spelled ``(ex (<vars>) <guard-atom> <body>)``.
-``(imp f g)`` and ``(iff f g)`` are accepted as sugar and expanded at parse
-time (``imp`` to ``(or (not f) g)``); the AST never stores them.
+A proposition is a bare token or, when the logic names it so, a list of
+bare tokens such as the atom ``(R u v)``.  A connective with a payload is
+written as its key followed by its arguments, so the guarded quantifier
+of key ``(ex (u) (R u v))`` is spelled ``(ex (u) (R u v) <body>)``:
+parsing is the inverse of ``render_formula``.  ``(imp f g)`` and
+``(iff f g)`` are accepted as sugar and expanded at parse time (``imp``
+to ``(or (not f) g)``); the AST never stores them.
 
 The parser takes linear time in the length of the text and does not
 recurse on nesting depth: one pass tokenizes and groups the text with an
 explicit stack of open lists, and a second pass interprets the groups
 from an explicit work stack.  Tokens carry only their offset; line and
-column are computed from it when an error is raised.  Only a logic's
-``compound_form`` hook (the guarded quantifier ``ex``) calls back into
-the interpreter, so nesting those costs Python stack.
+column are computed from it when an error is raised.
 
 Everything here is an immutable value: formulas, signatures and logic
 definitions can be shared freely across threads once constructed.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainViolation, ParseError, UnknownSymbolError
 
@@ -64,8 +66,7 @@ class ConnectiveSig:
     def key(self) -> str:
         """Canonical identifier; also the key used in JSON maps and CLI flags."""
         if self.payload is not None:
-            bound = " ".join(self.payload.bound)
-            return f"({self.name} ({bound}) {self.payload.guard})"
+            return _payload_key(self.name, self.payload.bound, self.payload.guard)
         return self.name
 
     @property
@@ -74,6 +75,10 @@ class ConnectiveSig:
         if self.payload is not None:
             return frozenset((self.payload.guard,))
         return frozenset()
+
+
+def _payload_key(name: str, bound, guard: str) -> str:
+    return f"({name} ({' '.join(bound)}) {guard})"
 
 
 NOT_SIG = ConnectiveSig("not", 1, kind=PROPOSITIONAL)
@@ -192,13 +197,12 @@ def _fold(node, items):
 class LogicDef:
     """One logic's syntax: signature, spellings and domain system.
 
-    ``propositions`` controls which bare tokens parse as propositions:
+    ``propositions`` controls which renderings parse as propositions:
     ``None`` accepts any identifier (an intensionally infinite universe),
-    a frozenset restricts to the given ids.  ``compound_form(head, args,
-    head_tok, interpret)`` handles heads that are neither boolean nor a
-    connective (guarded quantifiers, relational atoms), calling
-    ``interpret`` on the nodes it reads as formulas; ``token_form`` may
-    rewrite bare tokens before proposition lookup (algebraic ``0``/``1``).
+    a frozenset restricts to the given ids, which may be lists of bare
+    tokens such as ``(R u v)``.  ``tokens`` maps bare tokens to the
+    formulas they stand for, read before proposition lookup (algebraic
+    ``0``/``1``).
     """
 
     name: str
@@ -209,8 +213,7 @@ class LogicDef:
     spell_and: str = "and"
     spell_or: str = "or"
     sugar: bool = True
-    compound_form: Callable | None = None
-    token_form: Callable | None = None
+    tokens: dict[str, Formula] = field(default_factory=dict)
 
     def accepts_prop(self, token: str) -> bool:
         if self.propositions is None:
@@ -226,8 +229,8 @@ class _Token(NamedTuple):
     """A token and its offset into the source text.
 
     ``line`` and ``col`` are worked out from the offset when asked for,
-    which happens only when an error is raised or a compound form needs a
-    position, so tokenizing stays linear in the length of the text.
+    which happens only when an error is raised, so tokenizing stays
+    linear in the length of the text.
     """
 
     text: str
@@ -306,8 +309,9 @@ def _interpret(root, logic: LogicDef) -> Formula:
     and each check (arity before the arguments, domain after them) runs
     at the same point of that order, so the first error raised is the
     one the descent would raise.  A pending application sits on ``todo``
-    as ``(build, n)`` until its ``n`` arguments are on ``done``.  Bare
-    tokens are interpreted once per text; equal leaves share one node.
+    as ``(build, n)`` until its ``n`` arguments are on ``done``.  Leaves,
+    bare tokens and atoms alike, are interpreted once per rendering;
+    equal leaves share one node.
     """
     builtins = {}
     if logic.sugar:
@@ -345,18 +349,51 @@ def _interpret(root, logic: LogicDef) -> Formula:
         else:
             sig = logic.connectives.get(h)
             if sig is None:
-                result = None
-                if logic.compound_form is not None:
-                    result = logic.compound_form(h, args, head, partial(_interpret, logic=logic))
-                if result is None:
-                    raise UnknownSymbolError(f"unknown connective {h!r}", head.line, head.col)
-                done.append(result)
-                continue
+                name = _rendering(node)
+                if name is not None:
+                    f = leaves.get(name)
+                    if f is None and logic.accepts_prop(name):
+                        f = leaves[name] = Prop(name)
+                    if f is not None:
+                        done.append(f)
+                        continue
+                sig = _payload_sig(node, logic)
+                h, args = sig.key, node[4:]
             build, rank = partial(_app, sig, logic), sig.rank
         _expect_arity(h, args, rank, head)
         todo.append((build, rank))
         todo.extend(reversed(args))
     return done[0]
+
+
+def _rendering(node) -> str | None:
+    """How a bare token or a list of bare tokens renders; None otherwise."""
+    if type(node) is _Token:
+        return node.text
+    if all(type(t) is _Token for t in node[1:]):
+        return f"({' '.join(t.text for t in node[1:])})"
+    return None
+
+
+def _payload_sig(node, logic: LogicDef) -> ConnectiveSig:
+    """The connective ``(h (<bound>) <guard> args...)`` is written as,
+    looked up by its key ``(h (<bound sorted>) <guard>)``.
+
+    A node of any other shape, or one whose key names no connective of
+    the logic, is an unknown connective at its head.
+    """
+    head = node[1]
+    name = head.text
+    if len(node) >= 4 and type(node[2]) is list:
+        bound = node[2][1:]
+        guard = _rendering(node[3])
+        if (guard is not None and logic.accepts_prop(guard)
+                and all(type(t) is _Token for t in bound)):
+            name = _payload_key(head.text, sorted(t.text for t in bound), guard)
+            sig = logic.connectives.get(name)
+            if sig is not None:
+                return sig
+    raise UnknownSymbolError(f"unknown connective {name!r}", head.line, head.col)
 
 
 def _app(sig: ConnectiveSig, logic: LogicDef, *args: Formula) -> Formula:
@@ -366,10 +403,9 @@ def _app(sig: ConnectiveSig, logic: LogicDef, *args: Formula) -> Formula:
 
 
 def _interpret_token(tok: _Token, logic: LogicDef) -> Formula:
-    if logic.token_form is not None:
-        result = logic.token_form(tok.text)
-        if result is not None:
-            return result
+    f = logic.tokens.get(tok.text)
+    if f is not None:
+        return f
     if logic.accepts_prop(tok.text):
         return Prop(tok.text)
     raise UnknownSymbolError(f"unknown proposition {tok.text!r}", tok.line, tok.col)
@@ -389,19 +425,6 @@ def _check_domain(sig: ConnectiveSig, args, ds) -> None:
             f"argument {i} of {sig.key} is outside its domain: "
             f"iota={sorted(it)} is not a subset of j2={sorted(border)}"
         )
-
-
-def validate_domains(f: Formula, ds) -> None:
-    """Re-check every App node of ``f`` against the domain predicate."""
-    if isinstance(f, Not):
-        validate_domains(f.child, ds)
-    elif isinstance(f, (And, Or)):
-        validate_domains(f.left, ds)
-        validate_domains(f.right, ds)
-    elif isinstance(f, App):
-        _check_domain(f.conn, f.args, ds)
-        for a in f.args:
-            validate_domains(a, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -424,11 +447,9 @@ def render_formula(f: Formula, logic: LogicDef | None = None) -> str:
         if isinstance(g, Or):
             return f"({so} {r(g.left)} {r(g.right)})"
         if isinstance(g, App):
-            if g.conn.payload is not None:
-                bound = " ".join(g.conn.payload.bound)
-                inner = " ".join(r(a) for a in g.args)
-                return f"({g.conn.name} ({bound}) {g.conn.payload.guard} {inner})"
             inner = " ".join(r(a) for a in g.args)
+            if g.conn.payload is not None:  # its key, then its arguments
+                return f"{g.conn.key[:-1]} {inner})"
             return f"({g.conn.name} {inner})"
         raise TypeError(f"not a formula: {g!r}")
 

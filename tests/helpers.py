@@ -212,7 +212,7 @@ def reference_models(oracle, gen, bound):
     if not isinstance(oracle, RelationalOracle):
         raise TypeError(f"no reference models for {oracle!r}")
     props = sorted(gen.X)
-    conns = gen.sorted_conns()
+    conns = gen.sorted_conns
     for size in range(1, bound + 1):
         ranges = [range(1 << size ** (c.rank + 1)) for c in conns]
         for codes in itertools.product(*ranges):

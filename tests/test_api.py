@@ -23,6 +23,7 @@ RETIRED = (
     "KripkeOracle",
     "ComplexAlgebraOracle",
     "Constituent",
+    "validate_domains",
 )
 
 
@@ -40,7 +41,8 @@ def test_one_report_type_and_one_check_entry_point():
 
 
 @pytest.mark.parametrize("module", [addnf, addnf.logics, addnf.constituents, addnf.rewriter,
-                                    bao, base, gf, modal, prop], ids=lambda m: m.__name__)
+                                    addnf.syntax, bao, base, gf, modal, prop],
+                         ids=lambda m: m.__name__)
 def test_retired_names_are_gone(module):
     for name in RETIRED:
         assert not hasattr(module, name), (module.__name__, name)
@@ -65,3 +67,11 @@ def test_retired_rewriter_and_constituent_fields_are_gone():
     assert "trace" not in {f.name for f in dataclasses.fields(addnf.NormalizationResult)}
     for name in ("member", "members", "literal_mask", "bar_pos_mask", "__iter__", "__len__"):
         assert not hasattr(addnf.ConstituentSpace, name), name
+
+
+def test_the_parser_has_no_logic_hooks():
+    fields = dataclasses.fields(addnf.LogicDef)
+    assert {"compound_form", "token_form"}.isdisjoint(f.name for f in fields)
+    assert not any("Callable" in str(f.type) for f in fields)
+    for name in ("ParseError", "DomainViolation", "parse_compound", "_quantifier"):
+        assert not hasattr(gf, name), name

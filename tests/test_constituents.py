@@ -223,7 +223,7 @@ def _recursive_log2(gen, ds):
     nt = len(ds.tilde(gen.X, gen.E))
     if gen.k == 0:
         return nt
-    compatible = [c for c in gen.sorted_conns() if ds.compatible(c, gen.X, gen.E)]
+    compatible = [c for c in gen.sorted_conns if ds.compatible(c, gen.X, gen.E)]
     if compatible:
         terms = [
             _recursive_log2(Generator(gen.k - 1, gen.X, gen.Y, ds.j2_of(c)), ds) * c.rank

@@ -140,3 +140,16 @@ def test_generator_key_deterministic(modal_inst):
     g2 = Generator(1, {"p", "q"}, {dia}, modal_inst.domain.points)
     assert g1 == g2 and g1.key == g2.key
     assert g1.describe() == {"k": 1, "X": ["p", "q"], "Y": ["dia"], "E": ["*"]}
+
+
+def test_generator_key_and_connectives_are_computed_once():
+    from addnf.logics import modal_k_instance
+
+    inst = modal_k_instance(("b", "a"))
+    a, b = inst.logic.connectives["a"], inst.logic.connectives["b"]
+    gen = Generator(1, {"q", "p"}, {b, a}, inst.domain.points)
+    assert gen.key is gen.key and gen.sorted_conns is gen.sorted_conns
+    fresh = Generator(1, {"p", "q"}, {a, b}, inst.domain.points)
+    assert gen.key == fresh.key == (1, ("p", "q"), ("a", "b"), ("*",))
+    assert gen.sorted_conns == fresh.sorted_conns == (a, b)
+    assert gen == fresh and hash(gen) == hash(fresh)

@@ -16,6 +16,7 @@ from addnf import (
     Prop,
     conj_all,
     parse_formula,
+    render_formula,
     space,
 )
 from addnf.logics import build_instance, gf_instance, gf_validate, modal_k_instance
@@ -261,14 +262,12 @@ def test_gf_validator_rejects_unguarded(gf_rs):
 
 
 def test_gf_iota_equals_free_on_random_formulas(gf_r):
-    from addnf import validate_domains
-
     rng = random.Random(2)
     for _ in range(100):
         f = random_gf_case(rng, gf_r)
         assert gf_r.domain.iota(f) == free_vars(f, gf_r.atoms)
         assert gf_validate(f, gf_r)
-        validate_domains(f, gf_r.domain)
+        assert parse_formula(render_formula(f, gf_r.logic), gf_r.logic) == f
 
 
 def test_bao_degree_one_forms_sum_to_unit(bao_x):

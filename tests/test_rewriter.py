@@ -252,6 +252,19 @@ def test_a_proposition_outside_x_tilde_is_an_engine_error():
         _SpaceModel(sp, {}).prop_mask("q")
 
 
+def test_a_connective_outside_the_generator_is_an_engine_error():
+    inst = modal_k_instance(("a", "b"))
+    logic = inst.logic
+    r = normalize(parse_formula("(a p)", logic), derive_generator(
+        parse_formula("(a p)", logic), inst.domain), inst.domain)
+    outside = parse_formula("(b p)", logic)
+    message = r"connective 'b' has no relation in this model"
+    with pytest.raises(EngineError, match=message):
+        verify(outside, r, inst.oracle, 2)
+    with pytest.raises(EngineError, match=message):
+        inst.oracle.check_valid(outside, 2, gen=r.space.gen)
+
+
 def test_verify_renders_no_member_of_the_space():
     inst = modal_k_instance()  # a fresh instance: its spaces are built here
     gen = Generator(2, {"p"}, set(inst.diamonds), inst.domain.points)

@@ -18,7 +18,6 @@ from addnf import (
     disj_all,
     parse_formula,
     render_formula,
-    validate_domains,
     vocabulary,
 )
 
@@ -97,6 +96,65 @@ def test_gf_arity_checked(gf_rs):
         parse_formula("(S u v)", gf_rs.logic)
 
 
+def test_every_gf_quantifier_parses_back_from_its_rendering():
+    from itertools import permutations
+
+    from addnf.logics import gf_instance
+
+    inst = gf_instance(relations={"R": 2, "S": 1}, equality=True)
+    body = Prop("(S u)")
+    for sig in inst.logic.connectives.values():
+        free = inst.domain.j2_of(sig)
+        f = App(sig, (body if "u" in free else Prop("(R v v)"),))
+        text = render_formula(f, inst.logic)
+        assert text.startswith(sig.key[:-1] + " ")
+        guard = sig.payload.guard
+        for order in permutations(sig.payload.bound):
+            spelled = text.replace(sig.key[:-1], f"(ex ({' '.join(order)}) {guard}", 1)
+            g = parse_formula(spelled, inst.logic)
+            assert g == f and g.conn is sig
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(and (S u)\n  (ex (u) (S v) (S u)))",
+         "unknown connective '(ex (u) (S v))' (at 2:4)"),
+        ("(ex (v u) (R u u) (S u))", "unknown connective '(ex (u v) (R u u))' (at 1:2)"),
+        ("(not\n (ex u (R u v) (S u)))", "unknown connective 'ex' (at 2:3)"),
+        ("(ex (u) (not (R u v)) (S u))", "unknown connective 'ex' (at 1:2)"),
+        ("(or (S v) (= u v))", "unknown connective '=' (at 1:12)"),
+        ("(or (S v)\n     (R u))", "unknown connective 'R' (at 2:7)"),
+    ],
+)
+def test_gf_unknown_symbols_carry_line_and_column(gf_rs, text, message):
+    with pytest.raises(UnknownSymbolError) as e:
+        parse_formula(text, gf_rs.logic)
+    assert str(e.value) == message
+
+
+def test_gf_quantifier_arity_names_its_key(gf_rs):
+    with pytest.raises(ParseError) as e:
+        parse_formula("(ex (u) (R u v))", gf_rs.logic)
+    assert str(e.value) == "'(ex (u) (R u v))' takes 1 argument(s), got 0 (at 1:2)"
+
+
+def test_gf_equal_atoms_share_one_node(gf_rs):
+    f = parse_formula("(and (R u  v)\n (ex (u) (R u v) (R u v)))", gf_rs.logic)
+    assert f.left == Prop("(R u v)") and f.left is f.right.args[0]
+
+
+def test_deep_gf_quantifier_nest_parses(gf_r):
+    n = 20_000
+    f = parse_formula("(ex (u) (R u v) " * n + "(R u v)" + ")" * n, gf_r.logic)
+    sig = gf_r.quantifier(("u",), "(R u v)")
+    length = 0
+    while isinstance(f, App):
+        assert f.conn is sig
+        f, length = f.args[0], length + 1
+    assert length == n and f == Prop("(R u v)")
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -127,9 +185,11 @@ def test_round_trip_bao(bao_xy):
 
 def test_bao_zero_one_expand(bao_xy):
     zero = parse_formula("0", bao_xy.logic)
-    assert zero == And(Prop("x"), Not(Prop("x")))
+    assert zero == And(Prop("x"), Not(Prop("x"))) == bao_xy.zero()
     one = parse_formula("1", bao_xy.logic)
-    assert one == Or(Prop("x"), Not(Prop("x")))
+    assert one == Or(Prop("x"), Not(Prop("x"))) == bao_xy.unit()
+    f = parse_formula("(plus (f 0) (times y 1))", bao_xy.logic)
+    assert f == Or(App(bao_xy.logic.connectives["f"], (zero,)), And(Prop("y"), one))
 
 
 @given(formula_strategy(("p", "q", "r")))
@@ -184,11 +244,13 @@ def test_app_arity_and_kind():
 
 def test_validate_domains(gf_rs):
     good = parse_formula("(ex (u) (R u v) (S v))", gf_rs.logic)
-    validate_domains(good, gf_rs.domain)
+    assert parse_formula(render_formula(good, gf_rs.logic), gf_rs.logic) == good
     sig = gf_rs.quantifier(("u",), "(R u u)")
     bad = App(sig, (Prop("(S v)"),))  # built behind the parser's back
-    with pytest.raises(DomainViolation):
-        validate_domains(bad, gf_rs.domain)
+    with pytest.raises(DomainViolation) as e:
+        parse_formula(render_formula(bad, gf_rs.logic), gf_rs.logic)
+    assert str(e.value) == ("argument 0 of (ex (u) (R u u)) is outside its domain: "
+                            "iota=['v'] is not a subset of j2=['u']")
 
 
 def _token_count(text):
