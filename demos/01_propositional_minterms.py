@@ -1,8 +1,8 @@
 """Propositional logic: degree-0 normal forms are the classic minterms.
 
 Walks through parsing, enumerating the minterm space over {p, q},
-rewriting a formula into its minterm set, and checking the result against
-an exact truth-table oracle.
+rewriting a formula into its minterm set, and checking the result on the
+one-point frames, one per assignment, which decide it exactly.
 """
 from addnf import Generator, disjunction, normalize, parse_formula, render_formula, space, verify
 from addnf.logics import propositional_instance
@@ -29,9 +29,11 @@ rc = normalize(c, Generator(0, {"p"}, frozenset(), ds.points), ds)
 print(f"\n(and p (not p)) selects {sorted(rc.sigma)};",
       "rendered:", render_formula(disjunction(rc)))
 
-# The oracle confirms the equivalence exactly, over every assignment.
+# The oracle confirms the equivalence exactly, on one one-point frame per
+# assignment.
 report = verify(f, r, inst.oracle, 0)
-print(f"\ntruth-table verification: ok={report.ok} exact={report.exact}")
+print(f"\nverification over {report.contexts} one-point frames: "
+      f"ok={report.ok} exact={report.exact}")
 
 # Negation complements the member set; no oracle needed for that identity.
 neg = normalize(parse_formula("(not (or p q))", inst.logic), gen, ds)

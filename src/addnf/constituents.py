@@ -297,8 +297,9 @@ def partition_check(sp: ConstituentSpace, oracle, bound: int,
 
     At each evaluation point of each model, exactly one member must hold:
     at least one by the exhaustiveness half, at most one by pairwise
-    contradiction.  Exact when the oracle is exact, otherwise a bounded
-    search; the report's countermodel is the first failing model and
+    contradiction.  Exact when the oracle is exact for the space's
+    generator (one-point frames when it has no connective), otherwise a
+    bounded search; the report's countermodel is the first failing model and
     point, with the members true there.  It evaluates the rendered members
     one by one, unlike verify: the index-bit reading of a disjunction
     assumes exactly what this checks.

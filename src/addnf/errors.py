@@ -18,8 +18,9 @@ class UnknownSymbolError(ParseError):
     """A token names no proposition, relation or connective of the logic."""
 
 
-class DomainViolation(EngineError):
-    """A connective was applied to arguments outside its domain."""
+class DomainViolation(ParseError):
+    """A connective was applied to arguments outside its domain; raised by
+    the parser at the connective's head."""
 
 
 class NotLargeEnough(EngineError):

@@ -6,7 +6,7 @@ from .bao import BAOInstance, bao_instance
 from .base import DEFAULT_BOUND, Instance, Oracle, RelationalOracle, Report
 from .gf import GFInstance, GFOracle, gf_instance, gf_validate
 from .modal import ModalKInstance, modal_k_instance
-from .prop import TruthTableOracle, propositional_instance
+from .prop import propositional_instance
 
 # The config keys each logic reads.
 _CONFIG_KEYS = {
@@ -84,7 +84,6 @@ __all__ = [
     "Oracle",
     "RelationalOracle",
     "Report",
-    "TruthTableOracle",
     "bao_instance",
     "build_instance",
     "gf_instance",

@@ -1,10 +1,10 @@
 """Shared oracle machinery for the shipped logic instances.
 
-An oracle enumerates *model contexts*; each context evaluates formulas to
-a bitmask over its evaluation points (truth-table rows, frame points,
-variable assignments).  Validity means full mask in every context.  All
-searches are exhaustive up to a size bound and guarded by a case budget;
-only the propositional oracle is exact.
+An oracle enumerates models; each evaluates formulas to a bitmask over
+its evaluation points (frame points, variable assignments).  Validity
+means full mask in every model.  Searches are exhaustive up to a size
+bound and guarded by a case budget, except where the oracle is exact for
+the generator: then size 1 alone decides (``Oracle.sizes``).
 
 Checks run over *blocks*: consecutive models, in the order ``contexts``
 enumerates them, evaluated together as one context.  Model ``i`` of a
@@ -13,21 +13,20 @@ point ``w`` at bit ``i*points + w``, so one mask operation serves every
 model of the block and the lowest set bit of a failure mask is the first
 failing model and point.
 
-The bounded oracles (relational frames, first-order structures) are
-``PackedOracle``s.  Their models of one size are numbered by an
-*ordinal*, the order of ``contexts``, whose bits are the model read in
-binary: each oracle states only where its valuation bits and relation
-codes sit.  Bit j of a relation code of arity a is tuple j of
+The models of one size are numbered by an *ordinal*, the order of
+``contexts``, whose bits are the model read in binary: each oracle states
+only where its valuation bits and relation codes sit.  Bit j of a
+relation code of arity a is tuple j of
 ``itertools.product(range(size), repeat=a)``.  A block is an aligned run
-of at most ``BLOCK_MODELS`` ordinals, and "bit b of the ordinal", spread
-over the point slots, is periodic inside a block for the block's low bits
-and constant above them (``_BlockLayout``, built by doubling).  A plain
-context is a one-model block; the truth-table oracle has only that one.
+of ordinals whose masks take at most ``BLOCK_BITS`` bits, and "bit b of
+the ordinal", spread over the point slots, is periodic inside a block for
+the block's low bits and constant above them (``_BlockLayout``, built by
+doubling).  A single model is a one-model block.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from ..bitsets import iter_bits, zero_bit_pattern
 from ..domain_system import DomainSystem, Generator
@@ -37,9 +36,10 @@ from ..syntax import And, App, Formula, LogicDef, Not, Or, Prop, vocabulary
 DEFAULT_BOUND = 3
 DEFAULT_BUDGET = 2_000_000
 
-# Models per block at most; every model count is a power of two, so the
-# blocks of one size are aligned runs of equal length.
-BLOCK_MODELS = 1 << 12
+# Mask bits (models x points) per block at most.  A block holds a power of
+# two of models, as does every size, so the blocks of one size are aligned
+# runs of equal length.
+BLOCK_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Report:
     ``contexts`` counts the models checked: all of them when ``ok``, else
     those up to and including the first failing one, which
     ``countermodel`` describes.  ``bound`` is the model-size bound, None
-    for an exact oracle, which has none.
+    for an exact check, which searches size 1 alone whatever the bound.
     """
 
     ok: bool
@@ -59,25 +59,15 @@ class Report:
     countermodel: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "exact": self.exact,
-            "contexts": self.contexts,
-            "bound": self.bound,
-            "countermodel": self.countermodel,
-        }
+        return asdict(self)
 
 
 class Context:
-    """One model: evaluates formulas to masks over its points, memoized.
-
-    Seen as a block it holds one model; block subclasses set ``models``
-    and give ``points`` per model.
-    """
+    """A model or a block of models: evaluates formulas to masks over its
+    ``points``, memoized."""
 
     points: int
     full: int
-    models = 1
 
     def __init__(self):
         self._memo: dict[int, tuple] = {}
@@ -115,49 +105,62 @@ class Context:
     def app_mask(self, conn, arg_masks) -> int:
         raise NotImplementedError
 
-    def describe(self) -> dict:
-        raise NotImplementedError
-
-    def point_desc(self, point: int):
-        return point
-
-    def model(self, i: int) -> "Context":
-        """Model ``i`` of this block as a context of its own."""
-        return self
-
-    def at(self, point: int) -> dict:
-        """This model and one of its points, as a countermodel."""
-        return {"context": self.describe(), "point": self.point_desc(point)}
-
 
 class Oracle:
-    """Base bounded-model oracle; subclasses enumerate their models as blocks."""
+    """A search over models of growing size, run as packed blocks.
 
-    exact = False
+    Subclasses state ``where`` their ordinal bits sit for one size, how
+    many there are (``model_bits``), and the ``block_type`` that evaluates
+    a block (a ``PackedBlock`` built from a layout and its first ordinal).
+    """
+
+    block_type: type
 
     def __init__(self, budget: int = DEFAULT_BUDGET):
         self.budget = budget
+        self._layouts: dict[tuple, _BlockLayout] = {}
 
-    def blocks(self, gen: Generator, bound: int):
-        """The models up to ``bound`` as blocks, in enumeration order."""
+    def exact(self, gen: Generator) -> bool:
+        """Do the models of size 1 decide every check over ``gen``?"""
+        return False
+
+    def sizes(self, gen: Generator, bound: int) -> range:
+        """The model sizes a check searches: size 1 alone when exact."""
+        return range(1, 2) if self.exact(gen) else range(1, bound + 1)
+
+    def where(self, gen: Generator, size: int) -> Where:
         raise NotImplementedError
-
-    def contexts(self, gen: Generator, bound: int):
-        """Each model up to ``bound`` as a context of its own."""
-        for block in self.blocks(gen, bound):
-            for i in range(block.models):
-                yield block.model(i)
 
     def model_bits(self, gen: Generator, size: int) -> int:
         """log2 of the number of models of one size."""
         raise NotImplementedError
 
+    def blocks(self, gen: Generator, bound: int):
+        """The models searched at ``bound`` as blocks, in enumeration order."""
+        self.guard(gen, bound)
+        for size in self.sizes(gen, bound):
+            key = (size, gen.X, gen.Y, gen.E)
+            layout = self._layouts.get(key)
+            if layout is None:
+                where = self.where(gen, size)
+                layout = _BlockLayout(where, self.model_bits(gen, size),
+                                      max(1, BLOCK_BITS // where.points))
+                self._layouts[key] = layout
+            for start in range(0, layout.count, layout.models):
+                yield self.block_type(layout, start)
+
+    def contexts(self, gen: Generator, bound: int):
+        """Each model searched at ``bound`` as a context of its own."""
+        for block in self.blocks(gen, bound):
+            for i in range(block.models):
+                yield block.model(i)
+
     def estimate_contexts(self, gen: Generator, bound: int, limit: int) -> int:
-        """The number of models up to ``bound``, or ``limit + 1`` once it
-        passes ``limit``.  Each size's count is a power of two and is
+        """The number of models searched at ``bound``, or ``limit + 1`` once
+        it passes ``limit``.  Each size's count is a power of two and is
         compared by its exponent before it is built."""
         total = 0
-        for size in range(1, bound + 1):
+        for size in self.sizes(gen, bound):
             bits = self.model_bits(gen, size)
             if bits >= limit.bit_length():
                 return limit + 1
@@ -167,7 +170,7 @@ class Oracle:
         return total
 
     def guard(self, gen: Generator, bound: int) -> None:
-        if bound < 1:
+        if not self.sizes(gen, bound):
             raise EngineError(f"the model-size bound must be at least 1, got {bound}")
         if self.estimate_contexts(gen, bound, self.budget) > self.budget:
             raise BudgetExceeded(
@@ -176,7 +179,7 @@ class Oracle:
             )
 
     def check(self, gen: Generator, bound: int, checks) -> list[Report]:
-        """Run every check over every model up to ``bound``.
+        """Run every check over every model searched at ``bound``.
 
         A check is a pair ``(fails, explain)``: ``fails`` maps a block to
         the mask of its failing bits and is not run again once it has
@@ -186,7 +189,8 @@ class Oracle:
         reports: list[Report | None] = [None] * len(checks)
         left = len(checks)
         done = 0
-        shown = None if self.exact else bound
+        exact = self.exact(gen)
+        shown = None if exact else bound
         for block in self.blocks(gen, bound):
             for j, (fails, explain) in enumerate(checks):
                 if reports[j] is not None:
@@ -194,13 +198,13 @@ class Oracle:
                 bad = fails(block)
                 if bad:
                     i, point = divmod((bad & -bad).bit_length() - 1, block.points)
-                    reports[j] = Report(False, self.exact, done + i + 1, shown,
+                    reports[j] = Report(False, exact, done + i + 1, shown,
                                         explain(block.model(i), point))
                     left -= 1
             done += block.models
             if not left:
                 break
-        ok = Report(True, self.exact, done, shown)
+        ok = Report(True, exact, done, shown)
         return [ok if r is None else r for r in reports]
 
     def vocab_for(self, f: Formula) -> Generator:
@@ -212,10 +216,10 @@ class Oracle:
 
     def check_valid(self, f: Formula, bound: int = DEFAULT_BOUND,
                     gen: Generator | None = None) -> Report:
-        """Is ``f`` true at every point of every model up to ``bound``?"""
+        """Is ``f`` true at every point of every model searched at ``bound``?"""
         if gen is None:
             gen = self.vocab_for(f)
-        return self.check(gen, bound, [(lambda b: b.full ^ b.eval(f), Context.at)])[0]
+        return self.check(gen, bound, [(lambda b: b.full ^ b.eval(f), PackedBlock.at)])[0]
 
 
 @dataclass
@@ -276,7 +280,8 @@ def stacked(base: int, widths) -> list[int]:
 
 
 class _BlockLayout:
-    """What every block of the models of one size shares."""
+    """What every block of the models of one size shares; a block holds the
+    most models a power of two allows, up to ``models``."""
 
     def __init__(self, where: Where, bits: int, models: int):
         self.where = where
@@ -306,38 +311,12 @@ class _BlockLayout:
         return self._single
 
 
-class PackedOracle(Oracle):
-    """A bounded oracle whose checks run over packed blocks of models.
-
-    Subclasses state ``where`` their ordinal bits sit and the
-    ``block_type`` that evaluates a block (a ``Context`` built from a
-    layout and the block's first ordinal).
-    """
-
-    block_type: type
-
-    def __init__(self, budget: int = DEFAULT_BUDGET):
-        super().__init__(budget)
-        self._layouts: dict[tuple, _BlockLayout] = {}
-
-    def where(self, gen: Generator, size: int) -> Where:
-        raise NotImplementedError
-
-    def blocks(self, gen: Generator, bound: int):
-        self.guard(gen, bound)
-        for size in range(1, bound + 1):
-            key = (size, gen.X, gen.Y, gen.E)
-            layout = self._layouts.get(key)
-            if layout is None:
-                layout = _BlockLayout(self.where(gen, size), self.model_bits(gen, size),
-                                      BLOCK_MODELS)
-                self._layouts[key] = layout
-            for start in range(0, layout.count, layout.models):
-                yield self.block_type(layout, start)
-
-
 class PackedBlock(Context):
-    """The models of ordinals ``start .. start + models - 1`` of a layout."""
+    """The models of ordinals ``start .. start + models - 1`` of a layout.
+
+    Subclasses describe a model (``describe``) and one of its points
+    (``point_desc``) for countermodels.
+    """
 
     def __init__(self, layout: _BlockLayout, start: int):
         super().__init__()
@@ -348,7 +327,15 @@ class PackedBlock(Context):
         self.full = layout.full
 
     def model(self, i: int) -> "PackedBlock":
+        """Model ``i`` of this block as a block of its own."""
         return type(self)(self.layout.single(), self.start + i)
+
+    def describe(self) -> dict:
+        raise NotImplementedError
+
+    def at(self, point: int) -> dict:
+        """This model and one of its points, as a countermodel."""
+        return {"context": self.describe(), "point": self.point_desc(point)}
 
 
 class RelationalBlock(PackedBlock):
@@ -417,10 +404,12 @@ class RelationalBlock(PackedBlock):
         return {"point": point}
 
 
-class RelationalOracle(PackedOracle):
-    """Bounded search over the frames of at most ``bound`` points.
+class RelationalOracle(Oracle):
+    """Search over the frames of at most ``bound`` points.
 
-    A rank-h connective is read as the existential image of an (h+1)-ary
+    With no connective in the generator it is exact: the one-point frames
+    are the rows of the truth table, so the propositional instance uses it
+    too.  A rank-h connective is read as the existential image of an (h+1)-ary
     relation (Jonsson-Tarski), so one search serves modal K (a diamond is
     rank 1) and the complex algebras of BAO; a countermodel refutes soundly.
     Read in binary from the low bit up, the ordinal of a frame of n points
@@ -430,6 +419,11 @@ class RelationalOracle(PackedOracle):
     """
 
     block_type = RelationalBlock
+
+    def exact(self, gen: Generator) -> bool:
+        # With no connective a formula reads only the valuation at its own
+        # point, and the one-point frames carry every valuation.
+        return not gen.Y
 
     def where(self, gen: Generator, size: int) -> Where:
         props = sorted(gen.X)
@@ -449,8 +443,7 @@ class RelationalOracle(PackedOracle):
                     gen: Generator | None = None) -> Report:
         """Do both formulas hold at the same points of every frame up to the bound?"""
         if gen is None:
-            g1, g2 = self.vocab_for(lhs), self.vocab_for(rhs)
-            gen = Generator(0, g1.X | g2.X, g1.Y | g2.Y, frozenset())
+            gen = self.vocab_for(Or(lhs, rhs))
 
         def explain(ctx, point) -> dict:
             return {

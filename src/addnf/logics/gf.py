@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from ..domain_system import DomainSystem, Generator
 from ..errors import EngineError
 from ..syntax import And, App, ConnectiveSig, Formula, GuardPayload, LogicDef, Not, Or, Prop
-from .base import DEFAULT_BUDGET, Instance, PackedBlock, PackedOracle, Where, stacked
+from .base import DEFAULT_BUDGET, Instance, Oracle, PackedBlock, Where, stacked
 
 EQ = "="
 
@@ -262,10 +262,9 @@ class _FOBlock(PackedBlock):
         return {"assignment": env}
 
 
-class GFOracle(PackedOracle):
+class GFOracle(Oracle):
     """Exhaustive search over relational structures up to the universe bound."""
 
-    exact = False
     block_type = _FOBlock
 
     def __init__(self, variables: tuple[str, ...], relations: dict[str, int],

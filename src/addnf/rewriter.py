@@ -120,8 +120,8 @@ def verify(f: Formula, result: NormalizationResult, oracle,
            bound: int = DEFAULT_BOUND) -> Report:
     """Search for a model point separating ``f`` from its disjunction.
 
-    Exact for exact oracles, refutation-complete only up to ``bound``
-    otherwise.  A one-item ``verify_many``.
+    Exact where the oracle is exact for the generator, refutation-complete
+    only up to ``bound`` otherwise.  A one-item ``verify_many``.
     """
     return verify_many(result.space, [(f, result.sigma)], oracle, bound)[0]
 
@@ -148,41 +148,65 @@ def _differs(f: Formula, sp: ConstituentSpace, sigma):
     At each point exactly one member holds, the one whose index spells the
     signs its literals take there, so the disjunction holds where that
     index is in sigma.  Sigma is evaluated by Shannon expansion over the
-    index bits, most significant first, as a decision diagram (Bryant
-    1986): a slice of sigma splits into halves, the low half taken where
-    the literal holds, and a slice that is empty, full or made of two
-    equal halves needs no literal.  Slices are memoized per block.
+    index bits, most significant first, on its decision diagram (Bryant
+    1986, built once by ``_diagram``): a node takes its low child where
+    its literal holds and its high child elsewhere.  Where a literal is
+    constant on the block, as the high propositions are on a block of
+    one-point frames, only the child it selects is read.  Node values are
+    memoized per block.
     """
-    want = sp.index_mask(sigma)
     literals = sp.literals()
-    n = len(literals)
-    ones = [(1 << (1 << (n - level))) - 1 for level in range(n + 1)]
+    root = _diagram(sp.index_mask(sigma), len(literals))
 
     def fails(block) -> int:
         full = block.full
         memo = {}
 
-        def expand(level: int, s: int) -> int:
-            # s: the slice of sigma under one sign prefix of ``level`` literals
-            if not s:
-                return 0
-            if s == ones[level]:
-                return full
-            m = memo.get((level, s))
+        def value(node) -> int:
+            if type(node) is int:
+                return full if node else 0
+            m = memo.get(id(node))
             if m is None:
-                lo, hi = s & ones[level + 1], s >> (1 << (n - level - 1))
-                if lo == hi:
-                    m = expand(level + 1, lo)
+                level, lo, hi = node
+                lit = block.eval(literals[level])
+                if lit == full or not lit:
+                    m = value(lo if lit else hi)
                 else:
-                    lit = block.eval(literals[level])
-                    m = (lit & expand(level + 1, lo)) | ((full ^ lit) & expand(level + 1, hi))
-                memo[level, s] = m
+                    m = (lit & value(lo)) | ((full ^ lit) & value(hi))
+                memo[id(node)] = m
             return m
 
-        return block.eval(f) ^ expand(0, want)
+        return block.eval(f) ^ value(root)
 
     def explain(ctx, point) -> dict:
         holds = bool(ctx.eval(f) >> point & 1)
         return {**ctx.at(point), "formula_holds": holds, "disjunction_holds": not holds}
 
     return fails, explain
+
+
+def _diagram(want: int, n: int):
+    """The reduced decision diagram of the index set ``want`` over ``n``
+    index bits: 0 or 1 for an empty or full slice, else a node ``(level,
+    low, high)`` splitting a slice into its halves.  A slice made of two
+    equal halves is its half; equal slices share one node."""
+    ones = [(1 << (1 << (n - level))) - 1 for level in range(n + 1)]
+    nodes = {}
+
+    def node(level: int, s: int):
+        # s: the slice of want under one sign prefix of ``level`` literals
+        if not s:
+            return 0
+        if s == ones[level]:
+            return 1
+        out = nodes.get((level, s))
+        if out is None:
+            lo, hi = s & ones[level + 1], s >> (1 << (n - level - 1))
+            if lo == hi:
+                out = node(level + 1, lo)
+            else:
+                out = (level, node(level + 1, lo), node(level + 1, hi))
+            nodes[level, s] = out
+        return out
+
+    return node(0, want)

@@ -30,9 +30,6 @@ from typing import NamedTuple
 
 from .errors import DomainViolation, ParseError, UnknownSymbolError
 
-PROPOSITIONAL = "propositional"
-NON_PROPOSITIONAL = "non-propositional"
-
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'.-]*")
 
 
@@ -55,7 +52,6 @@ class ConnectiveSig:
 
     name: str
     rank: int
-    kind: str = NON_PROPOSITIONAL
     payload: GuardPayload | None = None
 
     def __post_init__(self):
@@ -79,11 +75,6 @@ class ConnectiveSig:
 
 def _payload_key(name: str, bound, guard: str) -> str:
     return f"({name} ({' '.join(bound)}) {guard})"
-
-
-NOT_SIG = ConnectiveSig("not", 1, kind=PROPOSITIONAL)
-AND_SIG = ConnectiveSig("and", 2, kind=PROPOSITIONAL)
-OR_SIG = ConnectiveSig("or", 2, kind=PROPOSITIONAL)
 
 
 class Formula:
@@ -121,8 +112,6 @@ class App(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "args", tuple(self.args))
-        if self.conn.kind != NON_PROPOSITIONAL:
-            raise ValueError("App nodes are reserved for non-propositional connectives")
         if len(self.args) != self.conn.rank:
             raise ValueError(
                 f"{self.conn.key} has rank {self.conn.rank}, got {len(self.args)} arguments"
@@ -359,7 +348,7 @@ def _interpret(root, logic: LogicDef) -> Formula:
                         continue
                 sig = _payload_sig(node, logic)
                 h, args = sig.key, node[4:]
-            build, rank = partial(_app, sig, logic), sig.rank
+            build, rank = partial(_app, sig, logic, head), sig.rank
         _expect_arity(h, args, rank, head)
         todo.append((build, rank))
         todo.extend(reversed(args))
@@ -396,9 +385,18 @@ def _payload_sig(node, logic: LogicDef) -> ConnectiveSig:
     raise UnknownSymbolError(f"unknown connective {name!r}", head.line, head.col)
 
 
-def _app(sig: ConnectiveSig, logic: LogicDef, *args: Formula) -> Formula:
+def _app(sig: ConnectiveSig, logic: LogicDef, head: _Token, *args: Formula) -> Formula:
+    """The application, or ``DomainViolation`` at ``head`` for its first
+    argument outside its domain."""
     if logic.domain is not None:
-        _check_domain(sig, args, logic.domain)
+        failures = logic.domain.domain_failures(sig, args)
+        if failures:
+            i, it, border = failures[0]
+            raise DomainViolation(
+                f"argument {i} of {sig.key} is outside its domain: "
+                f"iota={sorted(it)} is not a subset of j2={sorted(border)}",
+                head.line, head.col,
+            )
     return App(sig, args)
 
 
@@ -414,17 +412,6 @@ def _interpret_token(tok: _Token, logic: LogicDef) -> Formula:
 def _expect_arity(head, args, rank, tok):
     if len(args) != rank:
         raise ParseError(f"{head!r} takes {rank} argument(s), got {len(args)}", tok.line, tok.col)
-
-
-def _check_domain(sig: ConnectiveSig, args, ds) -> None:
-    """Raise ``DomainViolation`` for the first argument outside its domain."""
-    failures = ds.domain_failures(sig, args)
-    if failures:
-        i, it, border = failures[0]
-        raise DomainViolation(
-            f"argument {i} of {sig.key} is outside its domain: "
-            f"iota={sorted(it)} is not a subset of j2={sorted(border)}"
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -198,11 +198,21 @@ def _elements(mask):
     return [w for w in range(mask.bit_length()) if mask >> w & 1]
 
 
+def one_point_only(oracle, gen) -> bool:
+    """This module's own rule for an exact check: with no connective in the
+    generator, a formula reads only the valuation at its own point, so a
+    frame oracle searches the one-point frames alone, which carry every
+    valuation."""
+    return isinstance(oracle, RelationalOracle) and not gen.Y
+
+
 def reference_models(oracle, gen, bound):
-    """The models of ``oracle`` up to ``bound`` as ``describe()`` documents."""
+    """The models a check of ``oracle`` searches at ``bound``, as
+    ``describe()`` documents."""
+    sizes = range(1, 2) if one_point_only(oracle, gen) else range(1, bound + 1)
     if isinstance(oracle, GFOracle):
         rels = sorted(oracle.relations.items())
-        for size in range(1, bound + 1):
+        for size in sizes:
             ranges = [range(1 << size ** arity) for _, arity in rels]
             for codes in itertools.product(*ranges):
                 yield {"kind": "structure", "universe": size, "relations": {
@@ -213,7 +223,7 @@ def reference_models(oracle, gen, bound):
         raise TypeError(f"no reference models for {oracle!r}")
     props = sorted(gen.X)
     conns = gen.sorted_conns
-    for size in range(1, bound + 1):
+    for size in sizes:
         ranges = [range(1 << size ** (c.rank + 1)) for c in conns]
         for codes in itertools.product(*ranges):
             relations = {c.key: _tuples(size, c.rank + 1, code) for c, code in zip(conns, codes)}
@@ -357,6 +367,13 @@ def _lowest_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _report(oracle, gen, bound, checked, countermodel=None) -> dict:
+    """A report document; an exact one has no bound."""
+    exact = one_point_only(oracle, gen)
+    return {"ok": countermodel is None, "exact": exact, "contexts": checked,
+            "bound": None if exact else bound, "countermodel": countermodel}
+
+
 def member_loop_differs(f, sp, sigma):
     """The engine's verify check as it was written member by member: the
     disjunction's mask on a block is the union of the rendered members'
@@ -394,19 +411,15 @@ def per_model_verify_many(sp, items, oracle, bound):
                 dm |= masks[i]
             if fm != dm:
                 point = _lowest_bit(fm ^ dm)
-                docs[j] = {
-                    "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
-                    "countermodel": {
-                        "context": ctx.describe(),
-                        "point": ctx.point_desc(point),
-                        "formula_holds": bool(fm >> point & 1),
-                        "disjunction_holds": bool(dm >> point & 1),
-                    },
-                }
+                docs[j] = _report(oracle, sp.gen, bound, checked, {
+                    "context": ctx.describe(),
+                    "point": ctx.point_desc(point),
+                    "formula_holds": bool(fm >> point & 1),
+                    "disjunction_holds": bool(dm >> point & 1),
+                })
         if len(docs) == len(items):
             break
-    ok = {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
-          "countermodel": None}
+    ok = _report(oracle, sp.gen, bound, checked)
     return [docs.get(j, ok) for j in range(len(items))]
 
 
@@ -418,16 +431,12 @@ def per_model_partition_check(sp, oracle, bound):
         for point in range(ctx.points):
             trues = [i for i, m in enumerate(masks) if m >> point & 1]
             if len(trues) != 1:
-                return {
-                    "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
-                    "countermodel": {
-                        "context": ctx.describe(),
-                        "point": ctx.point_desc(point),
-                        "members_true": trues,
-                    },
-                }
-    return {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
-            "countermodel": None}
+                return _report(oracle, sp.gen, bound, checked, {
+                    "context": ctx.describe(),
+                    "point": ctx.point_desc(point),
+                    "members_true": trues,
+                })
+    return _report(oracle, sp.gen, bound, checked)
 
 
 def per_model_check_valid(oracle, f, bound, gen):
@@ -436,15 +445,11 @@ def per_model_check_valid(oracle, f, bound, gen):
         checked += 1
         m = ctx.eval(f)
         if m != ctx.full:
-            return {
-                "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
-                "countermodel": {
-                    "context": ctx.describe(),
-                    "point": ctx.point_desc(_lowest_bit(ctx.full ^ m)),
-                },
-            }
-    return {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
-            "countermodel": None}
+            return _report(oracle, gen, bound, checked, {
+                "context": ctx.describe(),
+                "point": ctx.point_desc(_lowest_bit(ctx.full ^ m)),
+            })
+    return _report(oracle, gen, bound, checked)
 
 
 def per_model_check_equal(oracle, lhs, rhs, bound, gen):
@@ -453,13 +458,9 @@ def per_model_check_equal(oracle, lhs, rhs, bound, gen):
         checked += 1
         a, b = ctx.eval(lhs), ctx.eval(rhs)
         if a != b:
-            return {
-                "ok": False, "exact": oracle.exact, "contexts": checked, "bound": bound,
-                "countermodel": {
-                    "context": ctx.describe(),
-                    "lhs_value": _elements(a),
-                    "rhs_value": _elements(b),
-                },
-            }
-    return {"ok": True, "exact": oracle.exact, "contexts": checked, "bound": bound,
-            "countermodel": None}
+            return _report(oracle, gen, bound, checked, {
+                "context": ctx.describe(),
+                "lhs_value": _elements(a),
+                "rhs_value": _elements(b),
+            })
+    return _report(oracle, gen, bound, checked)

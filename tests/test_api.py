@@ -24,6 +24,12 @@ RETIRED = (
     "ComplexAlgebraOracle",
     "Constituent",
     "validate_domains",
+    "TruthTableOracle",
+    "PackedOracle",
+    "BLOCK_MODELS",
+    "NOT_SIG",
+    "AND_SIG",
+    "OR_SIG",
 )
 
 
@@ -60,6 +66,7 @@ def test_retired_instance_fields_are_gone():
     fields = {f.name for f in dataclasses.fields(addnf.LogicDef)}
     assert "oracle" not in fields and "special_forms" not in fields
     assert not hasattr(gf.GFInstance, "free")
+    assert "kind" not in {f.name for f in dataclasses.fields(addnf.ConnectiveSig)}
 
 
 def test_retired_rewriter_and_constituent_fields_are_gone():

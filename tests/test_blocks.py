@@ -16,7 +16,9 @@ import pytest
 
 from helpers import (
     ReferenceModel,
+    eval_bool,
     member_loop_differs,
+    one_point_only,
     per_model_check_equal,
     per_model_check_valid,
     per_model_partition_check,
@@ -52,15 +54,15 @@ from addnf.logics import (
     modal_k_instance,
     propositional_instance,
 )
-from addnf.logics.base import BLOCK_MODELS
 from addnf.rewriter import _differs
 from addnf.syntax import vocabulary
 
 # (diamonds, propositions, models compared with contexts()); two diamonds
-# have 2**21 models of 3 worlds, so only their first block of that size is.
+# have 2**21 models of 3 worlds, so only their first block of that size is,
+# 2**14 models (3 * 2**14 mask bits, within BLOCK_BITS = 2**16).
 SHAPES = [
     (("dia",), ("p",), None),
-    (("a", "b"), ("p",), 4 + 1024 + BLOCK_MODELS),
+    (("a", "b"), ("p",), 4 + 1024 + (1 << 14)),
     (("dia",), ("p", "q"), None),
 ]
 
@@ -123,7 +125,8 @@ def test_blocks_split_larger_sizes():
     inst = modal_k_instance()
     gen = Generator(0, frozenset("pq"), frozenset(inst.diamonds), inst.domain.points)
     models = [b.models for b in inst.oracle.blocks(gen, 3)]
-    assert models == [8, 256] + [BLOCK_MODELS] * 8  # 2**15 models of 3 worlds
+    # 2**15 models of 3 worlds; a block holds at most 2**16 mask bits.
+    assert models == [8, 256, 16384, 16384]
 
 
 def _flip(sigma, i):
@@ -420,7 +423,9 @@ def test_every_check_returns_one_report_shape(name):
         assert type(rep) is Report, check
         doc = rep.to_json()
         assert set(doc) == REPORT_KEYS, check
-        assert doc["bound"] == bound and (doc["countermodel"] is None) == doc["ok"], check
+        exact = one_point_only(inst.oracle, gen)
+        assert doc["exact"] == exact and doc["bound"] == (None if exact else bound), check
+        assert (doc["countermodel"] is None) == doc["ok"], check
         verdicts.setdefault(check, []).append(doc["ok"])
     for check, oks in verdicts.items():
         assert oks == [True, False], check
@@ -495,3 +500,58 @@ def test_index_bits_match_the_member_loop(name):
     got = [rep.to_json() for rep in verify_many(sp, items, oracle, bound)]
     assert got == [rep.to_json() for rep in oracle.check(gen, bound, old)]
     assert {doc["ok"] for doc in got} == {True, False}
+
+
+# -- the one-point path ----------------------------------------------------------
+#
+# With no connective in the generator the frame oracle searches the
+# one-point frames alone, one per valuation, and is exact: its verdict on a
+# flipped sigma is the independent truth table's, whatever the bound.
+
+
+def _valuations(props):
+    """The assignments in the oracle's ordinal order: the last sorted
+    proposition lowest, a set bit meaning it holds."""
+    props = sorted(props)
+    for ordinal in range(1 << len(props)):
+        yield frozenset(p for j, p in enumerate(reversed(props)) if ordinal >> j & 1)
+
+
+@pytest.mark.parametrize("logic,k,props", [
+    ("prop", 0, ("p", "q", "r")), ("modal-k", 0, ("p", "q")), ("prop", 1, ("p",)),
+])
+def test_the_one_point_path_is_exact(logic, k, props):
+    inst = propositional_instance() if logic == "prop" else modal_k_instance()
+    gen = Generator(k, frozenset(props), frozenset(), inst.domain.points)
+    sp = space(gen, inst.domain)
+    f = random_prop_formula(random.Random(len(props)), props, 7)
+    r = normalize(f, gen, inst.domain)
+    valuations = list(_valuations(props))
+    truth = [[eval_bool(sp.formula(i), v) for v in valuations] for i in range(sp.size)]
+    items = [(f, r.sigma)] + [(f, _flip(r.sigma, i)) for i in range(sp.size)]
+    for bound in (0, 1, 3):
+        got = [rep.to_json() for rep in verify_many(sp, items, inst.oracle, bound)]
+        assert {(doc["exact"], doc["bound"]) for doc in got} == {(True, None)}
+        assert got[0]["ok"] and got[0]["contexts"] == 2 ** len(props)
+        for i, doc in enumerate(got[1:]):
+            # A flip is caught exactly when the member holds under some
+            # assignment, at the first such one.
+            if any(truth[i]):
+                assert not doc["ok"] and doc["contexts"] == truth[i].index(True) + 1, i
+            else:
+                assert doc["ok"] and doc["contexts"] == 2 ** len(props), i
+    if k == 0:  # every minterm holds under one assignment
+        assert all(not doc["ok"] for doc in got[1:])
+
+
+def test_seventeen_propositions_run_as_two_blocks():
+    inst = propositional_instance()
+    props = [f"p{j}" for j in range(17)]
+    gen = Generator(0, frozenset(props), frozenset(), inst.domain.points)
+    blocks = list(inst.oracle.blocks(gen, 0))
+    assert [(b.models, b.points) for b in blocks] == [(1 << 16, 1), (1 << 16, 1)]
+    f = Or(Prop("p3"), Not(And(Prop("p3"), Prop("p16"))))
+    rep = inst.oracle.check_valid(f, 0, gen)
+    assert rep.ok and rep.exact and rep.bound is None and rep.contexts == 1 << 17
+    rep = inst.oracle.check_valid(Or(Prop("p0"), Prop("p16")), 3, gen)
+    assert not rep.ok and rep.contexts == 1

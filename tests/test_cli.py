@@ -74,7 +74,7 @@ def test_verify_exact(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["verified"]["ok"] is True and doc["verified"]["exact"] is True
-    # The truth table has no model-size bound to report.
+    # The one-point frames decide it: there is no model-size bound to report.
     assert doc["verified"]["bound"] is None
 
 

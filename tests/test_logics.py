@@ -31,8 +31,10 @@ def test_prop_oracle(prop_inst):
     logic = prop_inst.logic
     assert prop_inst.oracle.check_valid(parse_formula("(or p (not p))", logic)).ok
     rep = prop_inst.oracle.check_valid(parse_formula("(or p q)", logic))
-    assert not rep.ok and rep.exact
-    assert rep.countermodel["point"]["assignment"] == {"p": False, "q": False}
+    assert not rep.ok and rep.exact and rep.bound is None
+    # The first one-point frame, where nothing holds.
+    assert rep.countermodel["point"] == {"point": 0}
+    assert rep.countermodel["context"]["valuation"] == {"p": [], "q": []}
     # p is equivalent to the two-minterm disjunction over {p, q}
     f = parse_formula("(iff p (or (and p q) (and p (not q))))", logic)
     assert prop_inst.oracle.check_valid(f).ok

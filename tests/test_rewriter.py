@@ -169,7 +169,8 @@ def test_verify_reports_countermodel_on_tampered_sigma(prop_inst):
     tampered = NormalizationResult(gen, r.sigma | {3}, r.space)
     report = verify(f, tampered, prop_inst.oracle, 0)
     assert not report.ok and report.exact
-    assert report.countermodel["point"]["assignment"] == {"p": False, "q": False}
+    assert report.countermodel["point"] == {"point": 0}
+    assert report.countermodel["context"]["valuation"] == {"p": [], "q": []}
 
 
 def test_verify_many_matches_verify(modal_inst):

@@ -250,7 +250,16 @@ def test_validate_domains(gf_rs):
     with pytest.raises(DomainViolation) as e:
         parse_formula(render_formula(bad, gf_rs.logic), gf_rs.logic)
     assert str(e.value) == ("argument 0 of (ex (u) (R u u)) is outside its domain: "
-                            "iota=['v'] is not a subset of j2=['u']")
+                            "iota=['v'] is not a subset of j2=['u'] (at 1:2)")
+
+
+def test_a_domain_violation_is_a_parse_error_at_its_head(gf_rs):
+    text = "(and (S v)\n     (ex (u) (R u u) (S v)))"
+    with pytest.raises(ParseError) as e:
+        parse_formula(text, gf_rs.logic)
+    assert isinstance(e.value, DomainViolation)
+    assert (e.value.line, e.value.column) == (2, 7)
+    assert str(e.value).endswith("is not a subset of j2=['u'] (at 2:7)")
 
 
 def _token_count(text):
