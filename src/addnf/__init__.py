@@ -36,11 +36,10 @@ from .syntax import (
     Or,
     Prop,
     conj_all,
-    depth,
     disj_all,
     parse_formula,
     render_formula,
-    vocabulary,
+    shape,
 )
 
 __version__ = "0.1.0"
@@ -72,7 +71,6 @@ __all__ = [
     "UnsuitableGenerator",
     "conj_all",
     "count",
-    "depth",
     "derive_generator",
     "disj_all",
     "disjunction",
@@ -80,9 +78,9 @@ __all__ = [
     "parse_formula",
     "partition_check",
     "render_formula",
+    "shape",
     "space",
     "suitable",
     "verify",
     "verify_many",
-    "vocabulary",
 ]

@@ -21,7 +21,7 @@ from .domain_system import Generator, derive_generator
 from .errors import CapExceeded, EngineError
 from .logics import DEFAULT_BOUND, LOGIC_IDS, build_instance
 from .rewriter import disjunction, normalize, verify
-from .syntax import depth, parse_formula, render_formula, vocabulary
+from .syntax import parse_formula, render_formula, shape
 
 
 class _Parser(argparse.ArgumentParser):
@@ -140,11 +140,11 @@ def _emit(doc: dict, fmt: str) -> None:
 def cmd_parse(args) -> int:
     inst = _instance(args)
     f = _read_formula(args, inst)
-    props, conns = vocabulary(f)
+    d, props, conns = shape(f)
     _emit(
         {
             "formula": render_formula(f, inst.logic),
-            "depth": depth(f),
+            "depth": d,
             "propositions": sorted(props),
             "connectives": sorted(c.key for c in conns),
             "iota": sorted(inst.domain.iota(f)),

@@ -56,13 +56,11 @@ def _out_of_range(i: int, size: int) -> IndexError:
 class ConstituentSpace:
     """All degree-k constituents for one (k, X, Y, A) key, in canonical order."""
 
-    def __init__(self, gen: Generator, ds: DomainSystem, xtilde, compatible, bar,
-                 children, base):
+    def __init__(self, gen: Generator, ds: DomainSystem, xtilde, bar, children, base):
         self.gen = gen
         self.ds = ds
         self.k = gen.k
         self.xtilde = xtilde                  # sorted tuple of propositions
-        self.compatible = compatible          # sorted tuple of compatible conns
         self.bar = bar                        # tuple of BarItem
         self.children = children              # conn key -> child ConstituentSpace
         self.base = base                      # degenerate-branch child space
@@ -252,7 +250,7 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
     if sp is not None:
         return sp
     xtilde = tuple(sorted(ds.tilde(gen.X, gen.E)))
-    compatible, bar, children, base = (), (), {}, None
+    bar, children, base = (), {}, None
     if gen.k > 0:
         compatible = _compatible(gen, ds, gen.E)
         down = gen.k - 1
@@ -271,7 +269,7 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
             bar = tuple(BarItem(None, (i,)) for i in range(base.size))
         if not bar:
             raise EngineError(f"empty bar set for {gen.key}; inconsistent system")
-    sp = ConstituentSpace(gen, ds, xtilde, compatible, bar, children, base)
+    sp = ConstituentSpace(gen, ds, xtilde, bar, children, base)
     if sp.size != n:
         raise EngineError(f"space {gen.key}: size {sp.size} disagrees with count {n}")
     # Re-assert the domain condition on one representative bar member:

@@ -222,10 +222,9 @@ class SuitabilityReport:
 def suitable(gen: Generator, f: Formula, ds: DomainSystem) -> SuitabilityReport:
     """Check every suitability clause; on failure the report names each one."""
     violations = []
-    d = syntax.depth(f)
+    d, props, conns = syntax.shape(f)
     if gen.k < d:
         violations.append(f"degree: k={gen.k} is below the formula depth {d}")
-    props, conns = syntax.vocabulary(f)
     missing_p = props - gen.X
     if missing_p:
         violations.append(f"propositions: X is missing {sorted(missing_p)}")
@@ -258,9 +257,9 @@ def derive_generator(
     ``E`` defaults to iota(f) grown by sorted points of V until it is
     large enough for X.
     """
-    props, conns = syntax.vocabulary(f)
+    d, props, conns = syntax.shape(f)
     if k is None:
-        k = syntax.depth(f)
+        k = d
     if X is None:
         X = props
     X = frozenset(X)

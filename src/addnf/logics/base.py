@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field
 from ..bitsets import iter_bits, zero_bit_pattern
 from ..domain_system import DomainSystem, Generator
 from ..errors import BudgetExceeded, EngineError
-from ..syntax import And, App, Formula, LogicDef, Not, Or, Prop, vocabulary
+from ..syntax import And, App, Formula, LogicDef, Not, Or, Prop, shape
 
 DEFAULT_BOUND = 3
 DEFAULT_BUDGET = 2_000_000
@@ -208,7 +208,7 @@ class Oracle:
         return [ok if r is None else r for r in reports]
 
     def vocab_for(self, f: Formula) -> Generator:
-        props, conns = vocabulary(f)
+        _, props, conns = shape(f)
         return Generator(0, props, conns, self.assignment_vars(f))
 
     def assignment_vars(self, f: Formula) -> frozenset[str]:

@@ -80,30 +80,32 @@ def _payload_key(name: str, bound, guard: str) -> str:
 class Formula:
     """Base class for AST nodes."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class App(Formula):
     """Application of a non-propositional connective to ``rank`` arguments."""
 
@@ -118,46 +120,40 @@ class App(Formula):
             )
 
 
-def depth(f: Formula) -> int:
-    """Nesting depth of non-propositional connectives in ``f``."""
-    if isinstance(f, Prop):
-        return 0
-    if isinstance(f, Not):
-        return depth(f.child)
-    if isinstance(f, (And, Or)):
-        return max(depth(f.left), depth(f.right))
-    if isinstance(f, App):
-        return 1 + max(depth(a) for a in f.args)
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def vocabulary(f: Formula) -> tuple[frozenset[str], frozenset[ConnectiveSig]]:
-    """The propositions and non-propositional connectives occurring in ``f``.
+def shape(f: Formula) -> tuple[int, frozenset[str], frozenset[ConnectiveSig]]:
+    """The nesting depth of non-propositional connectives in ``f``, and the
+    propositions and non-propositional connectives occurring in it.
 
     Guard atoms carried by quantifier payloads count as occurring
-    propositions: they are part of the written formula.
+    propositions: they are part of the written formula.  One recursive
+    walk visits each distinct node once, so a formula whose subformulas
+    are shared costs its distinct nodes, not its unfolded tree.
     """
     props: set[str] = set()
     conns: set[ConnectiveSig] = set()
+    depths: dict[int, int] = {}
 
-    def walk(g: Formula) -> None:
+    def walk(g: Formula) -> int:
+        d = depths.get(id(g))
+        if d is not None:
+            return d
         if isinstance(g, Prop):
             props.add(g.name)
+            d = 0
         elif isinstance(g, Not):
-            walk(g.child)
+            d = walk(g.child)
         elif isinstance(g, (And, Or)):
-            walk(g.left)
-            walk(g.right)
+            d = max(walk(g.left), walk(g.right))
         elif isinstance(g, App):
             conns.add(g.conn)
             props.update(g.conn.carried_props)
-            for a in g.args:
-                walk(a)
+            d = 1 + max(walk(a) for a in g.args)
         else:
             raise TypeError(f"not a formula: {g!r}")
+        depths[id(g)] = d
+        return d
 
-    walk(f)
-    return frozenset(props), frozenset(conns)
+    return walk(f), frozenset(props), frozenset(conns)
 
 
 def conj_all(items) -> Formula:

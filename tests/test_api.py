@@ -30,6 +30,8 @@ RETIRED = (
     "NOT_SIG",
     "AND_SIG",
     "OR_SIG",
+    "depth",
+    "vocabulary",
 )
 
 

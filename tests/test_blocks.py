@@ -55,7 +55,7 @@ from addnf.logics import (
     propositional_instance,
 )
 from addnf.rewriter import _differs
-from addnf.syntax import vocabulary
+from addnf.syntax import shape
 
 # (diamonds, propositions, models compared with contexts()); two diamonds
 # have 2**21 models of 3 worlds, so only their first block of that size is,
@@ -218,7 +218,7 @@ def test_modal_and_bao_share_one_oracle():
 def _broken(sp, i, j, swap):
     """``sp`` with member i replaced by member j (a gap where i held, an
     overlap where j holds) or widened to (i or j) (the overlap alone)."""
-    broken = type(sp)(sp.gen, sp.ds, sp.xtilde, sp.compatible, sp.bar, sp.children, sp.base)
+    broken = type(sp)(sp.gen, sp.ds, sp.xtilde, sp.bar, sp.children, sp.base)
     broken._formulas = {m: sp.formula(m) for m in range(sp.size)}
     broken._formulas[i] = sp.formula(j) if swap else Or(sp.formula(i), sp.formula(j))
     return broken
@@ -380,7 +380,7 @@ def test_packed_reports_match_the_per_model_loop(name):
             assert oracle.check_equal(lhs, rhs, bound, gen).to_json() == \
                 per_model_check_equal(oracle, lhs, rhs, bound, gen)
         lhs, rhs = formulas[0], Or(formulas[0], And(formulas[1], Not(formulas[1])))
-        (p1, c1), (p2, c2) = vocabulary(lhs), vocabulary(rhs)
+        (_, p1, c1), (_, p2, c2) = shape(lhs), shape(rhs)
         own = Generator(0, p1 | p2, c1 | c2, frozenset())
         assert oracle.check_equal(lhs, rhs, bound).to_json() == \
             per_model_check_equal(oracle, lhs, rhs, bound, own)

@@ -18,7 +18,9 @@ from addnf import (
     normalize,
     parse_formula,
     render_formula,
+    shape,
     space,
+    suitable,
     verify,
     verify_many,
 )
@@ -135,6 +137,21 @@ def test_degree_above_depth(modal_inst):
     assert 0 < len(r.sigma) < 512
     assert normalize(disjunction(r), gen, ds).sigma == r.sigma
     assert verify(f, r, modal_inst.oracle, 2).ok
+
+
+def test_shared_subformulas_are_walked_once(modal_inst):
+    """64 doublings of (dia p) unfold to 2**64 copies; every walk from
+    suitability to normalization visits each distinct node once."""
+    ds, dia = modal_inst.domain, modal_inst.diamonds[0]
+    base = parse_formula("(dia p)", modal_inst.logic)
+    f = base
+    for _ in range(64):
+        f = And(f, f)
+    assert shape(f) == (1, frozenset({"p"}), frozenset({dia}))
+    gen = derive_generator(f, ds)
+    assert gen.k == 1
+    assert suitable(gen, f, ds)
+    assert normalize(f, gen, ds).sigma == normalize(base, gen, ds).sigma
 
 
 def test_full_sigma_is_valid(prop_inst):

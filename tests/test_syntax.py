@@ -14,11 +14,10 @@ from addnf import (
     Prop,
     UnknownSymbolError,
     conj_all,
-    depth,
     disj_all,
     parse_formula,
     render_formula,
-    vocabulary,
+    shape,
 )
 
 
@@ -202,19 +201,19 @@ def test_round_trip_property(f):
 
 def test_depth_examples(modal_inst):
     logic = modal_inst.logic
-    assert depth(parse_formula("(or p (not q))", logic)) == 0
-    assert depth(parse_formula("(dia p)", logic)) == 1
-    assert depth(parse_formula("(dia (and p (dia (not p))))", logic)) == 2
+    assert shape(parse_formula("(or p (not q))", logic))[0] == 0
+    assert shape(parse_formula("(dia p)", logic))[0] == 1
+    assert shape(parse_formula("(dia (and p (dia (not p))))", logic))[0] == 2
 
 
 def test_vocabulary_examples(modal_inst, gf_rs):
     logic = modal_inst.logic
-    props, conns = vocabulary(parse_formula("(or p (not q))", logic))
+    _, props, conns = shape(parse_formula("(or p (not q))", logic))
     assert props == {"p", "q"} and conns == frozenset()
-    props, conns = vocabulary(parse_formula("(dia (and p q))", logic))
+    _, props, conns = shape(parse_formula("(dia (and p q))", logic))
     assert props == {"p", "q"} and {c.key for c in conns} == {"dia"}
     f = parse_formula("(ex (u) (R u v) (S v))", gf_rs.logic)
-    props, conns = vocabulary(f)
+    _, props, conns = shape(f)
     assert props == {"(R u v)", "(S v)"}
     assert {c.key for c in conns} == {"(ex (u) (R u v))"}
 
@@ -222,7 +221,7 @@ def test_vocabulary_examples(modal_inst, gf_rs):
 def test_vocabulary_monotone(prop_inst):
     f = parse_formula("(and (or p q) (not r))", prop_inst.logic)
     sub = parse_formula("(or p q)", prop_inst.logic)
-    assert vocabulary(sub)[0] <= vocabulary(f)[0]
+    assert shape(sub)[1] <= shape(f)[1]
 
 
 def test_fold_shapes():
