@@ -4,9 +4,11 @@ Subcommands: parse, count, enumerate, normalize, verify, partition-check.
 Output is deterministic (sorted keys, canonical orderings); exit codes are
 0 for success, 1 for usage/resource errors, 2 when verification finds a
 countermodel.  Every usage error (an unknown command or a flag the
-command does not read) and every resource failure, including nesting
-too deep for the recursive formula walkers, exits 1 with an ``error:``
-line.
+command does not read) and every resource failure exits 1 with an
+``error:`` line.  That includes nesting past the one limit that the
+recursive walks of ``shape``, rendering, ``normalize`` and ``verify``
+share: about 990 levels of ``not``, about half that for connective
+nests.  Parsing has no such limit.
 """
 from __future__ import annotations
 

@@ -160,9 +160,6 @@ class ConstituentSpace:
             m = self._sign_masks[j] = zero_bit_pattern(self.size, n - 1 - j)
         return m
 
-    def describe(self) -> dict:
-        return {"key": self.gen.describe(), "size": self.size}
-
     def __repr__(self):
         return f"ConstituentSpace({self.gen.key}, size={self.size})"
 
@@ -238,7 +235,11 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
 
     Raises NotLargeEnough when E cannot support X, and CapExceeded (with
     the exact offending cardinality) when the space would outgrow ``cap``.
+    A degree-0 member reads no connective, so a degree-0 space's
+    generator drops Y: a frame oracle's check over it is then exact.
     """
+    if not gen.k and gen.Y:
+        gen = Generator(0, gen.X, (), gen.E)
     n = count(gen, ds)
     if n > cap:
         raise CapExceeded(
@@ -278,7 +279,7 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
         first = bar[0]
         child = children[first.conn.key]
         args = tuple(child.formula(c) for c in first.children)
-        if not ds.in_domain(first.conn, args):
+        if ds.domain_failures(first.conn, args):
             raise EngineError(
                 f"bar members of {gen.key} fall outside D({first.conn.key})"
             )

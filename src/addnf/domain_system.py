@@ -114,11 +114,6 @@ class DomainSystem:
 
     # -- domains ------------------------------------------------------------
 
-    def in_domain(self, conn: ConnectiveSig, args) -> bool:
-        """True iff every argument's iota lies inside j2(conn)."""
-        border = self.j2_of(conn)
-        return all(self.iota(a) <= border for a in args)
-
     def domain_failures(self, conn: ConnectiveSig, args) -> list[tuple[int, frozenset, frozenset]]:
         """The arguments violating the domain condition, with their footprints."""
         border = self.j2_of(conn)

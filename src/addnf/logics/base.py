@@ -63,8 +63,12 @@ class Report:
 
 
 class Context:
-    """A model or a block of models: evaluates formulas to masks over its
-    ``points``, memoized."""
+    """A model, a block of models or a constituent space: evaluates formulas
+    to masks over its ``points``, memoized.
+
+    ``eval`` is the one formula walk; a subclass supplies only the leaf
+    (``prop_mask``) and the connective (``app_mask``) masks.
+    """
 
     points: int
     full: int
@@ -73,36 +77,32 @@ class Context:
         self._memo: dict[int, tuple] = {}
 
     def eval(self, f: Formula) -> int:
-        """The mask of ``f`` over the block's points, memoized."""
-        key = id(f)
-        hit = self._memo.get(key)
-        if hit is not None and hit[0] is f:
+        """The mask of ``f`` over the context's points, memoized.  An entry
+        holds its formula alive, so no other live node shares its id."""
+        hit = self._memo.get(id(f))
+        if hit is not None:
             return hit[1]
-        m = self._compute(f)
-        self._memo[key] = (f, m)
+        t = type(f)
+        if t is Not:
+            m = self.full ^ self.eval(f.child)
+        elif t is And:
+            m = self.eval(f.left) & self.eval(f.right)
+        elif t is Or:
+            m = self.eval(f.left) | self.eval(f.right)
+        elif t is Prop:
+            m = self.prop_mask(f.name)
+        elif t is App:
+            m = self.app_mask(f.conn, f.args)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        self._memo[id(f)] = (f, m)
         return m
-
-    # Subformulas are evaluated through this alias, so a subclass may check
-    # the formulas it is given by overriding ``eval`` alone.
-    _eval = eval
-
-    def _compute(self, f: Formula) -> int:
-        if isinstance(f, Prop):
-            return self.prop_mask(f.name)
-        if isinstance(f, Not):
-            return self.full ^ self._eval(f.child)
-        if isinstance(f, And):
-            return self._eval(f.left) & self._eval(f.right)
-        if isinstance(f, Or):
-            return self._eval(f.left) | self._eval(f.right)
-        if isinstance(f, App):
-            return self.app_mask(f.conn, [self._eval(a) for a in f.args])
-        raise TypeError(f"not a formula: {f!r}")
 
     def prop_mask(self, name: str) -> int:
         raise NotImplementedError
 
-    def app_mask(self, conn, arg_masks) -> int:
+    def app_mask(self, conn, args) -> int:
+        """The mask of ``conn`` applied to the argument formulas ``args``."""
         raise NotImplementedError
 
 
@@ -212,13 +212,25 @@ class Oracle:
         return Generator(0, props, conns, self.assignment_vars(f))
 
     def assignment_vars(self, f: Formula) -> frozenset[str]:
+        """The points a model must assign for ``f`` to have a value."""
         return frozenset()
+
+    def admit(self, gen: Generator, formulas) -> None:
+        """Refuse a formula whose assignment variables lie outside ``gen.E``."""
+        for f in formulas:
+            extra = self.assignment_vars(f) - gen.E
+            if extra:
+                raise EngineError(
+                    f"variables {sorted(extra)} are free in the formula but not covered "
+                    f"by the assignment variables {sorted(gen.E)}"
+                )
 
     def check_valid(self, f: Formula, bound: int = DEFAULT_BOUND,
                     gen: Generator | None = None) -> Report:
         """Is ``f`` true at every point of every model searched at ``bound``?"""
         if gen is None:
             gen = self.vocab_for(f)
+        self.admit(gen, [f])
         return self.check(gen, bound, [(lambda b: b.full ^ b.eval(f), PackedBlock.at)])[0]
 
 
@@ -266,7 +278,7 @@ class Where:
     def values(self, ordinal: int) -> dict[str, list[int]]:
         """Each proposition's value in model ``ordinal`` as its elements."""
         ones = (1 << self.size) - 1
-        return {p: mask_to_list(ordinal >> off & ones) for p, off in self.props.items()}
+        return {p: list(iter_bits(ordinal >> off & ones)) for p, off in self.props.items()}
 
 
 def stacked(base: int, widths) -> list[int]:
@@ -373,11 +385,12 @@ class RelationalBlock(PackedBlock):
             out |= layout.bit(off + w, self.start) << w
         return out
 
-    def app_mask(self, conn, arg_masks) -> int:
+    def app_mask(self, conn, args) -> int:
         try:
             rows = self.edges[conn.key]
         except KeyError:
             raise EngineError(f"connective {conn.key!r} has no relation in this model") from None
+        arg_masks = list(map(self.eval, args))
         m = arg_masks[0]
         first = [m >> u for u in range(self.points)]
         out = 0
@@ -448,8 +461,8 @@ class RelationalOracle(Oracle):
         def explain(ctx, point) -> dict:
             return {
                 "context": ctx.describe(),
-                "lhs_value": mask_to_list(ctx.eval(lhs)),
-                "rhs_value": mask_to_list(ctx.eval(rhs)),
+                "lhs_value": list(iter_bits(ctx.eval(lhs))),
+                "rhs_value": list(iter_bits(ctx.eval(rhs))),
             }
 
         return self.check(gen, bound, [(lambda b: b.eval(lhs) ^ b.eval(rhs), explain)])[0]
@@ -466,7 +479,3 @@ def one_point_domain(sigs=()) -> DomainSystem:
         j2={s.key: v for s in sigs},
         iota_default=v,
     )
-
-
-def mask_to_list(mask: int) -> list[int]:
-    return list(iter_bits(mask))

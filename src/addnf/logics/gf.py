@@ -161,12 +161,11 @@ class _FOWhere(Where):
 
     def __init__(self, size: int, relations: dict[str, tuple[int, int]],
                  order: tuple[str, ...], assigned: tuple[str, ...],
-                 atoms: dict[str, tuple[str, tuple[str, ...]]], domain: DomainSystem):
+                 atoms: dict[str, tuple[str, tuple[str, ...]]]):
         super().__init__(size, size ** len(order), {}, relations)
         self.assigned = assigned
         self.stride = {v: size ** i for i, v in enumerate(order)}
         self.atoms = atoms
-        self.domain = domain
         # zero[v]: the points of one model where v is 0
         self.zero = {
             v: sum(1 << p for p in range(self.points) if p // s % size == 0)
@@ -204,19 +203,6 @@ class _FOBlock(PackedBlock):
     def __init__(self, layout, start: int):
         super().__init__(layout, start)
         self._atoms: dict[str, int] = {}
-        self._admitted: dict[int, Formula] = {}
-
-    def eval(self, f: Formula) -> int:
-        if id(f) not in self._admitted:
-            where = self.layout.where
-            extra = where.domain.iota(f) - frozenset(where.assigned)
-            if extra:
-                raise EngineError(
-                    f"variables {sorted(extra)} are free in the formula but not covered "
-                    f"by the assignment variables {list(where.assigned)}"
-                )
-            self._admitted[id(f)] = f
-        return self._eval(f)
 
     def prop_mask(self, name: str) -> int:
         m = self._atoms.get(name)
@@ -228,12 +214,12 @@ class _FOBlock(PackedBlock):
             self._atoms[name] = m
         return m
 
-    def app_mask(self, conn, arg_masks) -> int:
+    def app_mask(self, conn, args) -> int:
         """``guard & body`` cylindrified over each bound variable: shifted
         down by every value of the variable's digit and ORed, kept where
         the digit is 0, and shifted back up over every value."""
         where = self.layout.where
-        m = self.prop_mask(conn.payload.guard) & arg_masks[0]
+        m = self.prop_mask(conn.payload.guard) & self.eval(args[0])
         for v in conn.payload.bound:
             s = where.stride[v]
             acc = m
@@ -290,7 +276,6 @@ class GFOracle(Oracle):
             assigned + rest,
             assigned,
             self.atoms,
-            self.domain,
         )
 
     def model_bits(self, gen: Generator, size: int) -> int:

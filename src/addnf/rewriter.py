@@ -25,7 +25,7 @@ from .constituents import DEFAULT_CAP, ConstituentSpace, space
 from .domain_system import DomainSystem, Generator, suitable
 from .errors import EngineError, UnsuitableGenerator
 from .logics.base import DEFAULT_BOUND, Context, Report
-from .syntax import And, App, Formula, Not, Prop, disj_all
+from .syntax import And, Formula, Not, Prop, disj_all
 
 
 @dataclass(frozen=True)
@@ -82,10 +82,8 @@ class _SpaceModel(Context):
             ) from None
         return self.sp.sign_mask(j)
 
-    def _compute(self, f: Formula) -> int:
-        if not isinstance(f, App):
-            return super()._compute(f)
-        sp, conn = self.sp, f.conn
+    def app_mask(self, conn, args) -> int:
+        sp = self.sp
         child = sp.children.get(conn.key)
         if child is None:
             raise EngineError(
@@ -93,7 +91,7 @@ class _SpaceModel(Context):
                 "the generator should have been rejected as unsuitable"
             )
         model = self.reached.get(child) or _SpaceModel(child, self.reached)
-        arg_masks = [model.eval(a) for a in f.args]
+        arg_masks = list(map(model.eval, args))
         nx, mask = len(sp.xtilde), 0
         for t, item in enumerate(sp.bar):
             if item.conn != conn:
@@ -136,6 +134,8 @@ def verify_many(sp: ConstituentSpace, items, oracle,
     literal masks by splitting sigma on the index bits (see ``_differs``),
     so its cost does not grow with the size of sigma.
     """
+    items = list(items)
+    oracle.admit(sp.gen, [f for f, _ in items])
     checks = [_differs(f, sp, sigma) for f, sigma in items]
     return oracle.check(sp.gen, bound, checks)
 

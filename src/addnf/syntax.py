@@ -147,7 +147,7 @@ def shape(f: Formula) -> tuple[int, frozenset[str], frozenset[ConnectiveSig]]:
         elif isinstance(g, App):
             conns.add(g.conn)
             props.update(g.conn.carried_props)
-            d = 1 + max(walk(a) for a in g.args)
+            d = 1 + max(map(walk, g.args))
         else:
             raise TypeError(f"not a formula: {g!r}")
         depths[id(g)] = d
@@ -430,7 +430,7 @@ def render_formula(f: Formula, logic: LogicDef | None = None) -> str:
         if isinstance(g, Or):
             return f"({so} {r(g.left)} {r(g.right)})"
         if isinstance(g, App):
-            inner = " ".join(r(a) for a in g.args)
+            inner = " ".join(map(r, g.args))
             if g.conn.payload is not None:  # its key, then its arguments
                 return f"{g.conn.key[:-1]} {inner})"
             return f"({g.conn.name} {inner})"

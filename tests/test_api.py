@@ -32,6 +32,7 @@ RETIRED = (
     "OR_SIG",
     "depth",
     "vocabulary",
+    "mask_to_list",
 )
 
 
@@ -74,8 +75,28 @@ def test_retired_instance_fields_are_gone():
 def test_retired_rewriter_and_constituent_fields_are_gone():
     assert "trace" not in inspect.signature(addnf.normalize).parameters
     assert "trace" not in {f.name for f in dataclasses.fields(addnf.NormalizationResult)}
-    for name in ("member", "members", "literal_mask", "bar_pos_mask", "__iter__", "__len__"):
+    for name in ("member", "members", "literal_mask", "bar_pos_mask", "__iter__", "__len__",
+                 "describe"):
         assert not hasattr(addnf.ConstituentSpace, name), name
+    assert not hasattr(addnf.DomainSystem, "in_domain")
+
+
+def test_context_eval_is_the_one_formula_walk():
+    found, stack = set(), [base.Context]
+    while stack:
+        cls = stack.pop()
+        found.add(cls)
+        stack.extend(c for c in cls.__subclasses__() if c.__module__.startswith("addnf."))
+    assert {base.RelationalBlock, gf._FOBlock, addnf.rewriter._SpaceModel} <= found
+    for cls in found:
+        for name in ("_compute", "_eval", "_admitted"):
+            assert not hasattr(cls, name), (cls.__name__, name)
+        if cls is not base.Context:
+            assert "eval" not in vars(cls), cls.__name__
+    inst = build_instance("gf")
+    gen = addnf.Generator(0, {"(R u v)"}, (), inst.domain.points)
+    block = next(inst.oracle.blocks(gen, 1))
+    assert not hasattr(block, "_admitted") and not hasattr(block.layout.where, "domain")
 
 
 def test_the_parser_has_no_logic_hooks():

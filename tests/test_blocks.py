@@ -417,13 +417,17 @@ def test_every_check_returns_one_report_shape(name):
         bound, formulas = 3, [parse_formula("(or p (dia (not p)))", inst.logic)]
     else:
         inst, gen, bound, formulas = _case(name)
-    held = _held(inst.oracle, gen, bound, space(gen, inst.domain))
+    sp = space(gen, inst.domain)
+    held = _held(inst.oracle, gen, bound, sp)
     verdicts = {}
     for check, rep in _report_shapes(inst, gen, bound, formulas, held):
         assert type(rep) is Report, check
         doc = rep.to_json()
         assert set(doc) == REPORT_KEYS, check
-        exact = one_point_only(inst.oracle, gen)
+        # A check over the space reads the space's generator, which has
+        # no Y at degree 0; check_valid and check_equal read ``gen``.
+        over_space = check in ("verify", "verify_many", "partition_check")
+        exact = one_point_only(inst.oracle, sp.gen if over_space else gen)
         assert doc["exact"] == exact and doc["bound"] == (None if exact else bound), check
         assert (doc["countermodel"] is None) == doc["ok"], check
         verdicts.setdefault(check, []).append(doc["ok"])
@@ -494,11 +498,11 @@ def test_index_bits_match_the_member_loop(name):
         items += [(f, sigma), (f, _flip(sigma, rng.randrange(sp.size))), (f, random_sigma)]
     new = [_differs(f, sp, sigma) for f, sigma in items]
     old = [member_loop_differs(f, sp, sigma) for f, sigma in items]
-    for block in oracle.blocks(gen, bound):
+    for block in oracle.blocks(sp.gen, bound):
         for (fails, _), (ref, _) in zip(new, old):
             assert fails(block) == ref(block)
     got = [rep.to_json() for rep in verify_many(sp, items, oracle, bound)]
-    assert got == [rep.to_json() for rep in oracle.check(gen, bound, old)]
+    assert got == [rep.to_json() for rep in oracle.check(sp.gen, bound, old)]
     assert {doc["ok"] for doc in got} == {True, False}
 
 
@@ -542,6 +546,18 @@ def test_the_one_point_path_is_exact(logic, k, props):
                 assert doc["ok"] and doc["contexts"] == 2 ** len(props), i
     if k == 0:  # every minterm holds under one assignment
         assert all(not doc["ok"] for doc in got[1:])
+
+
+def test_a_degree_0_space_drops_Y_and_its_checks_are_exact():
+    inst = modal_k_instance()
+    gen = Generator(0, {"p", "q"}, set(inst.diamonds), inst.domain.points)
+    sp = space(gen, inst.domain)
+    assert sp.gen == Generator(0, {"p", "q"}, (), inst.domain.points)
+    assert space(sp.gen, inst.domain) is sp
+    f = parse_formula("(or p (not q))", inst.logic)
+    r = normalize(f, gen, inst.domain)
+    for rep in (verify(f, r, inst.oracle, 3), partition_check(sp, inst.oracle, 3)):
+        assert rep.ok and rep.exact and rep.bound is None and rep.contexts == 4
 
 
 def test_seventeen_propositions_run_as_two_blocks():

@@ -177,6 +177,13 @@ def test_resource_errors_exit_one(capsys):
         assert out == ""
 
 
+@pytest.mark.parametrize("command", ["normalize", "verify"])
+def test_a_600_deep_not_nest_exits_zero(capsys, command):
+    deep = "(not " * 600 + "p" + ")" * 600
+    doc = run_json(capsys, command, "--logic", "prop", deep)
+    assert doc["sigma"] == [0]
+
+
 def test_huge_bound_fails_the_budget_fast(capsys):
     # The budget is decided from each size's exponent; the model count at
     # this bound would take gigabytes to build.

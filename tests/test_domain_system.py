@@ -32,14 +32,13 @@ def test_gf_iota_is_free_vars(gf_rs):
 def test_in_domain(modal_inst, gf_rs):
     dia = modal_inst.diamonds[0]
     p = parse_formula("p", modal_inst.logic)
-    assert modal_inst.domain.in_domain(dia, (p,))
+    assert modal_inst.domain.domain_failures(dia, (p,)) == []
     ex = gf_rs.quantifier(("u",), "(R u v)")
     sv = parse_formula("(S v)", gf_rs.logic)
     su = parse_formula("(S u)", gf_rs.logic)
-    assert gf_rs.domain.in_domain(ex, (sv,))
-    assert gf_rs.domain.in_domain(ex, (su,))
+    assert gf_rs.domain.domain_failures(ex, (sv,)) == []
+    assert gf_rs.domain.domain_failures(ex, (su,)) == []
     ex_uu = gf_rs.quantifier(("u",), "(R u u)")
-    assert not gf_rs.domain.in_domain(ex_uu, (sv,))
     failures = gf_rs.domain.domain_failures(ex_uu, (sv,))
     assert failures == [(0, frozenset({"v"}), frozenset({"u"}))]
 

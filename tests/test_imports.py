@@ -1,8 +1,10 @@
-"""Every import in ``src/addnf`` is used.
+"""Every import and every private module-level name in ``src/addnf`` is used.
 
 No linter ships with the test environment, so the check reads each
 module's syntax tree: an imported name is used when the module mentions
-it as a name (code or annotation) or lists it in ``__all__``.
+it as a name (code or annotation) or lists it in ``__all__``.  A private
+module-level function, class or constant (``_x``) is used when its module
+reads it outside its own definition.
 """
 import ast
 from pathlib import Path
@@ -39,3 +41,35 @@ def test_no_unused_imports(path):
     used = _used(tree)
     unused = [f"{name} (line {line})" for name, line in _imported(tree) if name not in used]
     assert not unused, unused
+
+
+def _private_definitions(tree):
+    """(name, defining statement) for each private module-level name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _reads(node):
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_unread_private_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    reads = {id(node): _reads(node) for node in tree.body}
+    unread = [
+        f"{name} (line {node.lineno})"
+        for name, node in _private_definitions(tree)
+        if not any(name in r for key, r in reads.items() if key != id(node))
+    ]
+    assert not unread, unread

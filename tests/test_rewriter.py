@@ -205,6 +205,7 @@ def test_verify_many_matches_verify(modal_inst):
     bad = [(items[0][0], items[0][1] ^ {0})] + items[1:]
     reports = verify_many(sp, bad, modal_inst.oracle, 2)
     assert not reports[0].ok and all(rep.ok for rep in reports[1:])
+    assert verify_many(sp, iter(bad), modal_inst.oracle, 2) == reports
 
 
 def test_disjunction_semantics_matches_member_union(prop_inst, modal_inst):
@@ -305,3 +306,21 @@ def test_wide_space_verify_does_not_grow_with_sigma():
     assert (r.space.size, len(r.sigma)) == (262144, 245760)
     assert report.ok and report.contexts == 4104
     assert elapsed < 15, f"{elapsed:.1f}s"
+
+
+def _deep_not(levels: int, wrap: str | None = None) -> str:
+    text = "(not " * levels + "p" + ")" * levels
+    return f"({wrap} {text})" if wrap else text
+
+
+@pytest.mark.parametrize("logic,wrap", [("prop", None), ("modal-k", "dia")])
+def test_a_600_deep_not_nest_normalizes_and_verifies(logic, wrap):
+    # Context.eval spends one Python frame per level of not.
+    inst = build_instance(logic)
+    f = parse_formula(_deep_not(600, wrap), inst.logic)
+    same = parse_formula(_deep_not(0, wrap), inst.logic)
+    gen = derive_generator(f, inst.domain)
+    r = normalize(f, gen, inst.domain)
+    assert r.sigma == normalize(same, gen, inst.domain).sigma
+    report = verify(f, r, inst.oracle)
+    assert report.ok and report.exact == (logic == "prop")
