@@ -6,7 +6,9 @@ each such sign choice with a sign choice over the *bar* list: every
 application of a compatible connective to a tuple of degree-k constituents
 taken from the child space at that connective's j2 border.  When no
 connective of Y is compatible with (X, A), the bar degenerates to the
-degree-k constituents of the same key.
+degree-k constituents of the same key: the one source is then "no
+connective", of rank 1, at the same area, and the same recursion builds
+and counts it (``_sources``).
 
 Canonical order, fixed once so golden outputs are stable:
 
@@ -42,8 +44,8 @@ _MAX_COUNT_BITS = 2 ** 26
 
 @dataclass(frozen=True)
 class BarItem:
-    """One bar member: conn applied to child indices, or (degenerate) a
-    bare reference to a same-key constituent one degree down."""
+    """One bar member: conn applied to child indices, or (conn None, in a
+    degenerate space) a bare same-key constituent one degree down."""
 
     conn: ConnectiveSig | None
     children: tuple[int, ...]
@@ -56,14 +58,13 @@ def _out_of_range(i: int, size: int) -> IndexError:
 class ConstituentSpace:
     """All degree-k constituents for one (k, X, Y, A) key, in canonical order."""
 
-    def __init__(self, gen: Generator, ds: DomainSystem, xtilde, bar, children, base):
+    def __init__(self, gen: Generator, ds: DomainSystem, xtilde, bar, children):
         self.gen = gen
         self.ds = ds
         self.k = gen.k
         self.xtilde = xtilde                  # sorted tuple of propositions
         self.bar = bar                        # tuple of BarItem
-        self.children = children              # conn key -> child ConstituentSpace
-        self.base = base                      # degenerate-branch child space
+        self.children = children              # conn key (None: degenerate) -> child space
         self.size = (1 << len(xtilde)) << len(bar)
         self._formulas: dict[int, Formula] = {}
         self._signs = None                    # (literals, their negations)
@@ -71,7 +72,7 @@ class ConstituentSpace:
 
     @property
     def degenerate(self) -> bool:
-        return self.base is not None
+        return None in self.children
 
     @property
     def full_mask(self) -> int:
@@ -105,15 +106,14 @@ class ConstituentSpace:
     def literals(self) -> tuple[Formula, ...]:
         """The formulas whose signs spell a member's index, most significant
         first: ``Prop(x)`` for each X-tilde entry, then each bar item (an
-        application to child members, or a bare base member)."""
+        application to child members, or a bare child member)."""
         if self._signs is None:
             bar = []
             for item in self.bar:
-                if item.conn is None:
-                    bar.append(self.base.formula(item.children[0]))
-                else:
-                    child = self.children[item.conn.key]
-                    bar.append(App(item.conn, tuple(child.formula(c) for c in item.children)))
+                conn = item.conn
+                child = self.children[conn and conn.key]
+                args = tuple(child.formula(c) for c in item.children)
+                bar.append(args[0] if conn is None else App(conn, args))
             literals = tuple([Prop(x) for x in self.xtilde] + bar)
             self._signs = (literals, tuple(Not(g) for g in literals))
         return self._signs[0]
@@ -164,10 +164,13 @@ class ConstituentSpace:
         return f"ConstituentSpace({self.gen.key}, size={self.size})"
 
 
-def _compatible(gen: Generator, ds: DomainSystem, area) -> tuple[ConnectiveSig, ...]:
-    """The connectives of ``gen`` compatible with (X, area), in key order:
-    the bar sources at ``area``, or (if none) ``area`` one degree down."""
-    return tuple(c for c in gen.sorted_conns if ds.compatible(c, gen.X, area))
+def _sources(gen: Generator, ds: DomainSystem, area) -> tuple:
+    """The bar sources at ``area``, as (connective, child area, rank): each
+    connective of ``gen`` compatible with (X, area), in key order, at its
+    j2; or, if none is, the degenerate source (None, area, 1)."""
+    return tuple(
+        (c, ds.j2_of(c), c.rank) for c in gen.sorted_conns if ds.compatible(c, gen.X, area)
+    ) or ((None, area, 1),)
 
 
 def count(gen: Generator, ds: DomainSystem) -> int:
@@ -187,19 +190,17 @@ def count(gen: Generator, ds: DomainSystem) -> int:
             f"E={sorted(gen.E)} is not large enough for X={sorted(gen.X)}"
         )
     # below[A]: the bar sources of area A one degree down, as (area, rank)
-    # pairs; the degenerate branch counts A itself once.  reached[i]: the
-    # areas reached i degrees below the top.  A connective compatible at A
-    # is compatible at its own j2 (compatibility implies largeness there),
-    # so every source is its own source again: after the first step the
-    # sets only grow, and they reach a fixed point however large k is.
+    # pairs.  reached[i]: the areas reached i degrees below the top.  A
+    # connective compatible at A is compatible at its own j2 (compatibility
+    # implies largeness there), so every source is its own source again:
+    # after the first step the sets only grow, and they reach a fixed point
+    # however large k is.
     below: dict[frozenset, tuple] = {}
     reached = [frozenset((gen.E,))]
     while len(reached) <= gen.k:
         for area in reached[-1]:
             if area not in below:
-                below[area] = tuple(
-                    (ds.j2_of(c), c.rank) for c in _compatible(gen, ds, area)
-                ) or ((area, 1),)
+                below[area] = tuple((a, r) for _, a, r in _sources(gen, ds, area))
         nxt = frozenset(a for area in reached[-1] for a, _ in below[area])
         if nxt == reached[-1]:
             break
@@ -251,26 +252,15 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
     if sp is not None:
         return sp
     xtilde = tuple(sorted(ds.tilde(gen.X, gen.E)))
-    bar, children, base = (), {}, None
+    bar, children = [], {}
     if gen.k > 0:
-        compatible = _compatible(gen, ds, gen.E)
-        down = gen.k - 1
-        if compatible:
-            items = []
-            for conn in compatible:
-                child = space(Generator(down, gen.X, gen.Y, ds.j2_of(conn)), ds, cap)
-                children[conn.key] = child
-                items.extend(
-                    BarItem(conn, tup)
-                    for tup in itertools.product(range(child.size), repeat=conn.rank)
-                )
-            bar = tuple(items)
-        else:
-            base = space(Generator(down, gen.X, gen.Y, gen.E), ds, cap)
-            bar = tuple(BarItem(None, (i,)) for i in range(base.size))
-        if not bar:
-            raise EngineError(f"empty bar set for {gen.key}; inconsistent system")
-    sp = ConstituentSpace(gen, ds, xtilde, bar, children, base)
+        for conn, area, rank in _sources(gen, ds, gen.E):
+            child = space(Generator(gen.k - 1, gen.X, gen.Y, area), ds, cap)
+            children[conn and conn.key] = child
+            bar.extend(
+                BarItem(conn, t) for t in itertools.product(range(child.size), repeat=rank)
+            )
+    sp = ConstituentSpace(gen, ds, xtilde, tuple(bar), children)
     if sp.size != n:
         raise EngineError(f"space {gen.key}: size {sp.size} disagrees with count {n}")
     # Re-assert the domain condition on one representative bar member:

@@ -8,14 +8,15 @@ from .gf import GFInstance, GFOracle, gf_instance, gf_validate
 from .modal import ModalKInstance, modal_k_instance
 from .prop import propositional_instance
 
-# The config keys each logic reads.
-_CONFIG_KEYS = {
-    "prop": ("propositions",),
-    "modal-k": ("diamonds", "propositions"),
-    "gf": ("variables", "relations", "equality"),
-    "bao": ("operators", "constants", "variables"),
+# Each logic: its factory and the config keys it reads, which are the
+# factory's parameters, in order; every default is the factory's own.
+_FACTORIES = {
+    "prop": (propositional_instance, ("propositions",)),
+    "modal-k": (modal_k_instance, ("diamonds", "propositions")),
+    "gf": (gf_instance, ("variables", "relations", "equality")),
+    "bao": (bao_instance, ("operators", "constants", "variables")),
 }
-LOGIC_IDS = tuple(_CONFIG_KEYS)
+LOGIC_IDS = tuple(_FACTORIES)
 
 
 def _names(value) -> bool:
@@ -41,10 +42,11 @@ _CONFIG_TYPES = {
 
 
 def build_instance(logic_id: str, config: dict | None = None) -> Instance:
-    """Construct one of the shipped instances from a plain config dict."""
-    accepted = _CONFIG_KEYS.get(logic_id)
-    if accepted is None:
+    """Construct one of the shipped instances from a plain config dict,
+    passed to its factory by name once every key is checked."""
+    if logic_id not in _FACTORIES:
         raise EngineError(f"unknown logic {logic_id!r}; expected one of {', '.join(LOGIC_IDS)}")
+    factory, accepted = _FACTORIES[logic_id]
     config = dict(config or {})
     for key, value in config.items():
         if key not in accepted:
@@ -53,24 +55,7 @@ def build_instance(logic_id: str, config: dict | None = None) -> Instance:
         check, what = _CONFIG_TYPES[key]
         if not check(value):
             raise EngineError(f"config key {key!r} must be {what}, got {value!r}")
-    if logic_id == "prop":
-        return propositional_instance(config.get("propositions"))
-    if logic_id == "modal-k":
-        return modal_k_instance(
-            tuple(config.get("diamonds", ("dia",))),
-            config.get("propositions"),
-        )
-    if logic_id == "gf":
-        return gf_instance(
-            tuple(config.get("variables", ("u", "v"))),
-            config.get("relations", {"R": 2}),
-            config.get("equality", False),
-        )
-    return bao_instance(
-        config.get("operators", {"f": 1}),
-        tuple(config.get("constants", ())),
-        tuple(config.get("variables", ("x",))),
-    )
+    return factory(**config)
 
 
 __all__ = [

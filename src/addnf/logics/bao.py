@@ -24,9 +24,7 @@ from .base import Instance, RelationalOracle, one_point_domain
 
 @dataclass
 class BAOInstance(Instance):
-    operators: dict[str, int]
-    constants: tuple[str, ...]
-    variables: tuple[str, ...]
+    """Adds the ``0``/``1`` terms and the term rendering to ``Instance``."""
 
     def zero(self) -> Formula:
         return self.logic.tokens["0"]
@@ -66,10 +64,4 @@ def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
         sugar=False,
         tokens={"0": And(d, Not(d)), "1": Or(d, Not(d))},
     )
-    return BAOInstance(
-        logic=logic,
-        oracle=RelationalOracle(),
-        operators=operators,
-        constants=constants,
-        variables=variables,
-    )
+    return BAOInstance(logic=logic, oracle=RelationalOracle())

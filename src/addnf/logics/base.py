@@ -256,12 +256,23 @@ class Where:
     ``props[name]`` is the ordinal bit of the name's value at element 0
     (element w at that bit + w); ``relations[key]`` is (lowest ordinal bit
     of the relation's code, arity).  Both are in sorted key order.
+    ``spread`` says where a proposition holds, for ``PackedBlock.prop_mask``.
     """
 
     size: int
     points: int
     props: dict[str, int]
     relations: dict[str, tuple[int, int]]
+
+    def spread(self, name: str) -> list[tuple[int | None, int]]:
+        """(ordinal bit, points) pairs: the proposition holds at those points
+        of one model when that bit of its ordinal is set (always, for None).
+        Here point w of ``name`` is the bit ``props[name] + w``."""
+        try:
+            off = self.props[name]
+        except KeyError:
+            raise EngineError(f"proposition {name!r} has no valuation in this model") from None
+        return [(off + w, 1 << w) for w in range(self.points)]
 
     def tuples(self, ordinal: int) -> dict[str, list[list[int]]]:
         """Each relation of model ``ordinal`` as its tuples, in code order."""
@@ -326,8 +337,10 @@ class _BlockLayout:
 class PackedBlock(Context):
     """The models of ordinals ``start .. start + models - 1`` of a layout.
 
-    Subclasses describe a model (``describe``) and one of its points
-    (``point_desc``) for countermodels.
+    A proposition's mask is read off ``where.spread`` (``prop_mask``, the
+    one reader for every oracle); subclasses supply the connective mask
+    (``app_mask``) and describe a model (``describe``) and one of its
+    points (``point_desc``) for countermodels.
     """
 
     def __init__(self, layout: _BlockLayout, start: int):
@@ -337,6 +350,17 @@ class PackedBlock(Context):
         self.models = layout.models
         self.points = layout.points
         self.full = layout.full
+        self._props: dict[str, int] = {}
+
+    def prop_mask(self, name: str) -> int:
+        """The mask of the proposition ``name``, cached per name."""
+        m = self._props.get(name)
+        if m is None:
+            layout, m = self.layout, 0
+            for b, points in layout.where.spread(name):
+                m |= (layout.every if b is None else layout.bit(b, self.start)) * points
+            self._props[name] = m
+        return m
 
     def model(self, i: int) -> "PackedBlock":
         """Model ``i`` of this block as a block of its own."""
@@ -354,8 +378,8 @@ class RelationalBlock(PackedBlock):
     """A block of relational models (frames).
 
     A proposition holds at point w where its ordinal bit
-    ``props[name] + w`` is set.  An operator of rank h is the existential
-    image of its (h+1)-ary relation: point w gets
+    ``props[name] + w`` is set (``Where.spread``).  An operator of rank h
+    is the existential image of its (h+1)-ary relation: point w gets
     ``edge & (a1 >> u1) & ... & (ah >> uh)`` over the tuples
     (w, u1, ..., uh), so a unary one is a Kripke diamond.
     """
@@ -373,17 +397,6 @@ class RelationalBlock(PackedBlock):
                 if m:
                     rows[w].append((u, tuple(enumerate(rest, 1)), m))
             self.edges[key] = rows
-
-    def prop_mask(self, name: str) -> int:
-        layout = self.layout
-        try:
-            off = layout.where.props[name]
-        except KeyError:
-            raise EngineError(f"proposition {name!r} has no valuation in this model") from None
-        out = 0
-        for w in range(self.points):
-            out |= layout.bit(off + w, self.start) << w
-        return out
 
     def app_mask(self, conn, args) -> int:
         try:

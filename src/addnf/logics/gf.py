@@ -47,7 +47,6 @@ def _atom_id(rel: str, args) -> str:
 class GFInstance(Instance):
     variables: tuple[str, ...]
     relations: dict[str, int]
-    equality: bool
     atoms: dict[str, tuple[str, tuple[str, ...]]]
 
     def atom(self, rel: str, *args: str) -> str:
@@ -151,7 +150,6 @@ def gf_instance(variables=("u", "v"), relations=None, equality: bool = False) ->
         oracle=GFOracle(variables, relations, atoms, ds),
         variables=variables,
         relations=relations,
-        equality=equality,
         atoms=atoms,
     )
 
@@ -174,8 +172,8 @@ class _FOWhere(Where):
         self._spreads: dict[str, list] = {}
 
     def spread(self, atom_id: str) -> list[tuple[int | None, int]]:
-        """(ordinal bit, points) pairs: the atom holds at those points of
-        one model when that bit of its ordinal is set (always, for None)."""
+        """As ``Where.spread``, for an atom: its tuple's bit at the points
+        that assign the tuple, or (``=``) None where its two digits agree."""
         out = self._spreads.get(atom_id)
         if out is None:
             rel, vars_ = self.atoms[atom_id]
@@ -200,20 +198,6 @@ class _FOWhere(Where):
 
 
 class _FOBlock(PackedBlock):
-    def __init__(self, layout, start: int):
-        super().__init__(layout, start)
-        self._atoms: dict[str, int] = {}
-
-    def prop_mask(self, name: str) -> int:
-        m = self._atoms.get(name)
-        if m is None:
-            layout = self.layout
-            m = 0
-            for b, points in layout.where.spread(name):
-                m |= (layout.every if b is None else layout.bit(b, self.start)) * points
-            self._atoms[name] = m
-        return m
-
     def app_mask(self, conn, args) -> int:
         """``guard & body`` cylindrified over each bound variable: shifted
         down by every value of the variable's digit and ORed, kept where

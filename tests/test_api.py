@@ -65,10 +65,17 @@ def test_every_instance_is_one_record(logic_id):
     assert inst.domain is inst.logic.domain
 
 
+def _field_names(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def test_retired_instance_fields_are_gone():
-    fields = {f.name for f in dataclasses.fields(addnf.LogicDef)}
+    fields = _field_names(addnf.LogicDef)
     assert "oracle" not in fields and "special_forms" not in fields
     assert not hasattr(gf.GFInstance, "free")
+    assert _field_names(bao.BAOInstance) == _field_names(base.Instance)
+    assert "equality" not in _field_names(gf.GFInstance)
+    assert {"variables", "relations"} <= _field_names(gf.GFInstance)
     assert "kind" not in {f.name for f in dataclasses.fields(addnf.ConnectiveSig)}
 
 
@@ -81,13 +88,19 @@ def test_retired_rewriter_and_constituent_fields_are_gone():
     assert not hasattr(addnf.DomainSystem, "in_domain")
 
 
-def test_context_eval_is_the_one_formula_walk():
+def _context_classes() -> set[type]:
+    """``Context`` and every subclass of it defined in the engine."""
     found, stack = set(), [base.Context]
     while stack:
         cls = stack.pop()
         found.add(cls)
         stack.extend(c for c in cls.__subclasses__() if c.__module__.startswith("addnf."))
     assert {base.RelationalBlock, gf._FOBlock, addnf.rewriter._SpaceModel} <= found
+    return found
+
+
+def test_context_eval_is_the_one_formula_walk():
+    found = _context_classes()
     for cls in found:
         for name in ("_compute", "_eval", "_admitted"):
             assert not hasattr(cls, name), (cls.__name__, name)
@@ -97,6 +110,39 @@ def test_context_eval_is_the_one_formula_walk():
     gen = addnf.Generator(0, {"(R u v)"}, (), inst.domain.points)
     block = next(inst.oracle.blocks(gen, 1))
     assert not hasattr(block, "_admitted") and not hasattr(block.layout.where, "domain")
+
+
+def test_one_bar_recursion_and_one_block_proposition_reader():
+    assert not hasattr(addnf.constituents, "_compatible")
+    assert "base" not in inspect.signature(addnf.ConstituentSpace).parameters
+    prop_inst = build_instance("prop")
+    gen = addnf.Generator(1, {"p"}, (), prop_inst.domain.points)
+    assert not hasattr(addnf.space(gen, prop_inst.domain), "base")
+    readers = {cls for cls in _context_classes() - {base.Context} if "prop_mask" in vars(cls)}
+    assert readers == {base.PackedBlock, addnf.rewriter._SpaceModel}
+    inst = build_instance("gf")
+    gen = addnf.Generator(0, {"(R u v)"}, (), inst.domain.points)
+    block = next(inst.oracle.blocks(gen, 1))
+    assert block.prop_mask("(R u v)") and not hasattr(block, "_atoms")
+    assert "__init__" not in vars(gf._FOBlock)
+
+
+@pytest.mark.parametrize("logic_id", LOGIC_IDS)
+def test_build_instance_reads_its_defaults_from_the_factory(logic_id):
+    # A key the factory lacked would escape build_instance as a TypeError.
+    factory, accepted = addnf.logics._FACTORIES[logic_id]
+    assert accepted == tuple(inspect.signature(factory).parameters)
+    built, made = build_instance(logic_id), factory()
+    assert sorted(built.logic.connectives) == sorted(made.logic.connectives)
+    assert built.logic.propositions == made.logic.propositions
+    assert built.domain.to_json() == made.domain.to_json()
+
+
+def test_build_instance_passes_config_keys_by_name():
+    inst = build_instance("gf", {"equality": True})
+    assert "(= u v)" in inst.atoms and inst.variables == ("u", "v")
+    assert inst.atoms == gf.gf_instance(equality=True).atoms
+    assert "(= u v)" not in build_instance("gf").atoms
 
 
 def test_the_parser_has_no_logic_hooks():

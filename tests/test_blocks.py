@@ -218,7 +218,7 @@ def test_modal_and_bao_share_one_oracle():
 def _broken(sp, i, j, swap):
     """``sp`` with member i replaced by member j (a gap where i held, an
     overlap where j holds) or widened to (i or j) (the overlap alone)."""
-    broken = type(sp)(sp.gen, sp.ds, sp.xtilde, sp.bar, sp.children, sp.base)
+    broken = type(sp)(sp.gen, sp.ds, sp.xtilde, sp.bar, sp.children)
     broken._formulas = {m: sp.formula(m) for m in range(sp.size)}
     broken._formulas[i] = sp.formula(j) if swap else Or(sp.formula(i), sp.formula(j))
     return broken

@@ -18,6 +18,7 @@ from addnf import (
     render_formula,
     space,
 )
+from addnf.constituents import BarItem
 
 
 def test_prop_minterms_in_canonical_order(prop_inst):
@@ -102,7 +103,8 @@ def _member_corpus():
 def test_member_decode_round_trip():
     spaces = _member_corpus()
     assert len(spaces) == 11
-    assert any(sp.degenerate for sp in spaces) and any(sp.children for sp in spaces)
+    assert any(sp.degenerate for sp in spaces)
+    assert any(sp.children and not sp.degenerate for sp in spaces)
     for sp in spaces:
         docs = [sp.describe_member(i) for i in range(sp.size)]
         assert docs == [reference_describe(sp, i) for i in range(sp.size)], sp
@@ -146,8 +148,17 @@ def test_degenerate_branch(prop_inst):
     assert c["base"] == [0, 1]
     assert "sub" not in c
     assert render_formula(sp.formula(0)) == "(and p (and p (not p)))"
+    # The degenerate bar is the rank-1 source at the same area: one child,
+    # under None, whose members are the bar items one by one.
+    assert list(sp.children) == [None]
+    assert sp.children[None] is space(Generator(0, {"p"}, (), prop_inst.domain.points),
+                                      prop_inst.domain)
     gen2 = Generator(2, {"p"}, frozenset(), prop_inst.domain.points)
     assert count(gen2, prop_inst.domain) == 2 * 2 ** 8 == 512
+    for g in (gen, gen2):
+        sg = space(g, prop_inst.domain)
+        assert sg.degenerate and count(g, prop_inst.domain) == sg.size
+        assert all(item == BarItem(None, (i,)) for i, item in enumerate(sg.bar))
 
 
 def test_bar_grouped_by_connective_key():
