@@ -5,7 +5,7 @@ operators as full connectives), so the rewriter works verbatim and the
 results read back in term spelling.  Equations are checked in complex
 algebras of small frames: sound refutation, bounded affirmation.
 """
-from addnf import Generator, disjunction, normalize, parse_formula, space
+from addnf import Generator, disjunction, normalize, parse_formula, render_formula, space
 from addnf.logics import bao_instance
 
 inst = bao_instance({"f": 1}, (), ("x",))
@@ -25,10 +25,10 @@ print("f(x & y) = f(x) & f(y):", bad.ok,
 # The algebraic normal forms of degree 0 and 1 over the single variable x.
 fsig = inst.logic.connectives["f"]
 sp0 = space(Generator(0, {"x"}, {fsig}, inst.domain.points), inst.domain)
-print("\ndegree 0:", [inst.render_term(sp0.formula(i)) for i in range(sp0.size)])
+print("\ndegree 0:", [render_formula(sp0.formula(i), inst.logic) for i in range(sp0.size)])
 sp1 = space(Generator(1, {"x"}, {fsig}, inst.domain.points), inst.domain)
 print("degree 1 has", sp1.size, "forms; the first:")
-print(" ", inst.render_term(sp1.formula(0)))
+print(" ", render_formula(sp1.formula(0), inst.logic))
 
 # Their sum is the unit: the partition property in algebraic clothing.
 total = disjunction(normalize(t("1"), Generator(1, {"x"}, {fsig}, inst.domain.points),
@@ -40,4 +40,4 @@ print("\nsum of all degree-1 forms equals 1:",
 r = normalize(t("(f (plus x (minus x)))"),
               Generator(1, {"x"}, {fsig}, inst.domain.points), inst.domain)
 print("f(1) selects members", sorted(r.sigma), "of", r.space.size)
-print("as a term:", inst.render_term(disjunction(r)))
+print("as a term:", render_formula(disjunction(r), inst.logic))

@@ -58,9 +58,8 @@ def _out_of_range(i: int, size: int) -> IndexError:
 class ConstituentSpace:
     """All degree-k constituents for one (k, X, Y, A) key, in canonical order."""
 
-    def __init__(self, gen: Generator, ds: DomainSystem, xtilde, bar, children):
+    def __init__(self, gen: Generator, xtilde, bar, children):
         self.gen = gen
-        self.ds = ds
         self.k = gen.k
         self.xtilde = xtilde                  # sorted tuple of propositions
         self.bar = bar                        # tuple of BarItem
@@ -260,7 +259,7 @@ def space(gen: Generator, ds: DomainSystem, cap: int = DEFAULT_CAP) -> Constitue
             bar.extend(
                 BarItem(conn, t) for t in itertools.product(range(child.size), repeat=rank)
             )
-    sp = ConstituentSpace(gen, ds, xtilde, tuple(bar), children)
+    sp = ConstituentSpace(gen, xtilde, tuple(bar), children)
     if sp.size != n:
         raise EngineError(f"space {gen.key}: size {sp.size} disagrees with count {n}")
     # Re-assert the domain condition on one representative bar member:
@@ -309,8 +308,9 @@ def partition_check(sp: ConstituentSpace, oracle, bound: int,
             seen |= m
         return twice | (block.full ^ seen)
 
-    def explain(ctx, point) -> dict:
-        trues = [i for i, g in enumerate(members) if ctx.eval(g) >> point & 1]
-        return {**ctx.at(point), "members_true": trues}
+    def explain(block, i, point) -> dict:
+        bit = i * block.points + point
+        trues = [j for j, g in enumerate(members) if block.eval(g) >> bit & 1]
+        return {**block.at(i, point), "members_true": trues}
 
     return oracle.check(sp.gen, bound, [(gaps_and_overlaps, explain)])[0]

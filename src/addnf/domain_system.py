@@ -157,13 +157,11 @@ class DomainSystem:
     @classmethod
     def from_json(cls, doc: dict) -> "DomainSystem":
         return cls(
-            points=frozenset(doc["V"]),
-            iota_atomic={p: frozenset(s) for p, s in doc.get("iota", {}).items()},
-            j1={c: frozenset(s) for c, s in doc.get("j1", {}).items()},
-            j2={c: frozenset(s) for c, s in doc.get("j2", {}).items()},
-            iota_default=(
-                frozenset(doc["iota_default"]) if "iota_default" in doc else None
-            ),
+            points=doc["V"],
+            iota_atomic=doc.get("iota", {}),
+            j1=doc.get("j1", {}),
+            j2=doc.get("j2", {}),
+            iota_default=doc.get("iota_default"),
         )
 
 

@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 from ..errors import EngineError
-from .bao import BAOInstance, bao_instance
+from .bao import bao_instance
 from .base import DEFAULT_BOUND, Instance, Oracle, RelationalOracle, Report
 from .gf import GFInstance, GFOracle, gf_instance, gf_validate
 from .modal import ModalKInstance, modal_k_instance
@@ -59,7 +59,6 @@ def build_instance(logic_id: str, config: dict | None = None) -> Instance:
 
 
 __all__ = [
-    "BAOInstance",
     "DEFAULT_BOUND",
     "GFInstance",
     "GFOracle",

@@ -15,28 +15,14 @@ for validity and is documented as a bounded check.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import EngineError
-from ..syntax import And, ConnectiveSig, Formula, LogicDef, Not, Or, Prop, render_formula
+from ..syntax import And, ConnectiveSig, LogicDef, Not, Or, Prop
 from .base import Instance, RelationalOracle, one_point_domain
 
 
-@dataclass
-class BAOInstance(Instance):
-    """Adds the ``0``/``1`` terms and the term rendering to ``Instance``."""
-
-    def zero(self) -> Formula:
-        return self.logic.tokens["0"]
-
-    def unit(self) -> Formula:
-        return self.logic.tokens["1"]
-
-    def render_term(self, f: Formula) -> str:
-        return render_formula(f, self.logic)
-
-
-def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
+def bao_instance(operators=None, constants=(), variables=("x",)) -> Instance:
+    """Build the term logic; its ``0``/``1`` terms are ``logic.tokens``, and
+    ``render_formula(f, logic)`` spells a term in its words."""
     operators = dict(operators) if operators is not None else {"f": 1}
     for name, rank in operators.items():
         if rank < 1:
@@ -64,4 +50,4 @@ def bao_instance(operators=None, constants=(), variables=("x",)) -> BAOInstance:
         sugar=False,
         tokens={"0": And(d, Not(d)), "1": Or(d, Not(d))},
     )
-    return BAOInstance(logic=logic, oracle=RelationalOracle())
+    return Instance(logic=logic, oracle=RelationalOracle())

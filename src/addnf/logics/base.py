@@ -135,25 +135,25 @@ class Oracle:
         """log2 of the number of models of one size."""
         raise NotImplementedError
 
-    def blocks(self, gen: Generator, bound: int):
-        """The models searched at ``bound`` as blocks, in enumeration order."""
+    def blocks(self, gen: Generator, bound: int, models: int | None = None):
+        """The models searched at ``bound`` as blocks of at most ``models``
+        models (as many as ``BLOCK_BITS`` allows by default), in
+        enumeration order."""
         self.guard(gen, bound)
         for size in self.sizes(gen, bound):
-            key = (size, gen.X, gen.Y, gen.E)
+            key = (size, gen.X, gen.Y, gen.E, models)
             layout = self._layouts.get(key)
             if layout is None:
                 where = self.where(gen, size)
                 layout = _BlockLayout(where, self.model_bits(gen, size),
-                                      max(1, BLOCK_BITS // where.points))
+                                      models or max(1, BLOCK_BITS // where.points))
                 self._layouts[key] = layout
             for start in range(0, layout.count, layout.models):
                 yield self.block_type(layout, start)
 
     def contexts(self, gen: Generator, bound: int):
-        """Each model searched at ``bound`` as a context of its own."""
-        for block in self.blocks(gen, bound):
-            for i in range(block.models):
-                yield block.model(i)
+        """Each model searched at ``bound`` as a one-model block."""
+        return self.blocks(gen, bound, 1)
 
     def estimate_contexts(self, gen: Generator, bound: int, limit: int) -> int:
         """The number of models searched at ``bound``, or ``limit + 1`` once
@@ -183,8 +183,11 @@ class Oracle:
 
         A check is a pair ``(fails, explain)``: ``fails`` maps a block to
         the mask of its failing bits and is not run again once it has
-        failed; ``explain(ctx, point)`` describes the first failing model
-        and point as the report's countermodel.
+        failed; ``explain(block, i, point)`` describes the first failing
+        point, of model ``i`` of the failing block, as the report's
+        countermodel.  ``fails`` has just evaluated the block, so an
+        explain reads the block's memoized masks at bit
+        ``i * block.points + point``.
         """
         reports: list[Report | None] = [None] * len(checks)
         left = len(checks)
@@ -199,7 +202,7 @@ class Oracle:
                 if bad:
                     i, point = divmod((bad & -bad).bit_length() - 1, block.points)
                     reports[j] = Report(False, exact, done + i + 1, shown,
-                                        explain(block.model(i), point))
+                                        explain(block, i, point))
                     left -= 1
             done += block.models
             if not left:
@@ -319,7 +322,6 @@ class _BlockLayout:
         self.periodic = [
             zero_bit_pattern(self.models, b, n) << (n << b) for b in range(self.low)
         ]
-        self._single = self if self.models == 1 else None
 
     def bit(self, b: int, start: int) -> int:
         """Point 0 of the models of the block at ``start`` whose ordinal has bit b set."""
@@ -327,20 +329,14 @@ class _BlockLayout:
             return self.periodic[b]
         return self.every if start >> b & 1 else 0
 
-    def single(self) -> "_BlockLayout":
-        """The layout of one-model blocks of the same models."""
-        if self._single is None:
-            self._single = _BlockLayout(self.where, self.bits, 1)
-        return self._single
-
 
 class PackedBlock(Context):
     """The models of ordinals ``start .. start + models - 1`` of a layout.
 
     A proposition's mask is read off ``where.spread`` (``prop_mask``, the
     one reader for every oracle); subclasses supply the connective mask
-    (``app_mask``) and describe a model (``describe``) and one of its
-    points (``point_desc``) for countermodels.
+    (``app_mask``) and describe model ``i`` of the block (``describe``)
+    and one of its points (``point_desc``) for countermodels.
     """
 
     def __init__(self, layout: _BlockLayout, start: int):
@@ -362,16 +358,12 @@ class PackedBlock(Context):
             self._props[name] = m
         return m
 
-    def model(self, i: int) -> "PackedBlock":
-        """Model ``i`` of this block as a block of its own."""
-        return type(self)(self.layout.single(), self.start + i)
-
-    def describe(self) -> dict:
+    def describe(self, i: int) -> dict:
         raise NotImplementedError
 
-    def at(self, point: int) -> dict:
-        """This model and one of its points, as a countermodel."""
-        return {"context": self.describe(), "point": self.point_desc(point)}
+    def at(self, i: int, point: int) -> dict:
+        """Model ``i`` of this block and one of its points, as a countermodel."""
+        return {"context": self.describe(i), "point": self.point_desc(point)}
 
 
 class RelationalBlock(PackedBlock):
@@ -417,13 +409,13 @@ class RelationalBlock(PackedBlock):
             out |= acc << w
         return out
 
-    def describe(self) -> dict:
+    def describe(self, i: int) -> dict:
         where = self.layout.where
         return {
             "kind": "frame",
             "size": self.points,
-            "relations": where.tuples(self.start),
-            "valuation": where.values(self.start),
+            "relations": where.tuples(self.start + i),
+            "valuation": where.values(self.start + i),
         }
 
     def point_desc(self, point: int) -> dict:
@@ -471,11 +463,13 @@ class RelationalOracle(Oracle):
         if gen is None:
             gen = self.vocab_for(Or(lhs, rhs))
 
-        def explain(ctx, point) -> dict:
+        def explain(block, i, point) -> dict:
+            n = block.points
+            ones = (1 << n) - 1
             return {
-                "context": ctx.describe(),
-                "lhs_value": list(iter_bits(ctx.eval(lhs))),
-                "rhs_value": list(iter_bits(ctx.eval(rhs))),
+                "context": block.describe(i),
+                "lhs_value": list(iter_bits(block.eval(lhs) >> (i * n) & ones)),
+                "rhs_value": list(iter_bits(block.eval(rhs) >> (i * n) & ones)),
             }
 
         return self.check(gen, bound, [(lambda b: b.eval(lhs) ^ b.eval(rhs), explain)])[0]

@@ -169,32 +169,28 @@ class _FOWhere(Where):
             v: sum(1 << p for p in range(self.points) if p // s % size == 0)
             for v, s in self.stride.items()
         }
-        self._spreads: dict[str, list] = {}
 
     def spread(self, atom_id: str) -> list[tuple[int | None, int]]:
         """As ``Where.spread``, for an atom: its tuple's bit at the points
         that assign the tuple, or (``=``) None where its two digits agree."""
-        out = self._spreads.get(atom_id)
-        if out is None:
-            rel, vars_ = self.atoms[atom_id]
-            size = self.size
-            strides = [self.stride[v] for v in vars_]
-            off = None if rel == EQ else self.relations[rel][0]
-            pairs: dict = {}
-            for p in range(self.points):
-                t = [p // s % size for s in strides]
-                if off is None:
-                    if t[0] != t[1]:
-                        continue
-                    b = None
-                else:
-                    j = 0  # the tuple's place in product order
-                    for d in t:
-                        j = j * size + d
-                    b = off + j
-                pairs[b] = pairs.get(b, 0) | 1 << p
-            out = self._spreads[atom_id] = list(pairs.items())
-        return out
+        rel, vars_ = self.atoms[atom_id]
+        size = self.size
+        strides = [self.stride[v] for v in vars_]
+        off = None if rel == EQ else self.relations[rel][0]
+        pairs: dict = {}
+        for p in range(self.points):
+            t = [p // s % size for s in strides]
+            if off is None:
+                if t[0] != t[1]:
+                    continue
+                b = None
+            else:
+                j = 0  # the tuple's place in product order
+                for d in t:
+                    j = j * size + d
+                b = off + j
+            pairs[b] = pairs.get(b, 0) | 1 << p
+        return list(pairs.items())
 
 
 class _FOBlock(PackedBlock):
@@ -215,21 +211,17 @@ class _FOBlock(PackedBlock):
                 m |= acc << (c * s)
         return m
 
-    def describe(self) -> dict:
+    def describe(self, i: int) -> dict:
         where = self.layout.where
         return {
             "kind": "structure",
             "universe": where.size,
-            "relations": where.tuples(self.start),
+            "relations": where.tuples(self.start + i),
         }
 
     def point_desc(self, point: int) -> dict:
-        size = self.layout.where.size
-        env = {}
-        for v in self.layout.where.assigned:
-            env[v] = point % size
-            point //= size
-        return {"assignment": env}
+        where = self.layout.where
+        return {"assignment": {v: point // where.stride[v] % where.size for v in where.assigned}}
 
 
 class GFOracle(Oracle):

@@ -28,9 +28,10 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import NamedTuple
 
-from .errors import DomainViolation, ParseError, UnknownSymbolError
+from .errors import DomainViolation, EngineError, ParseError, UnknownSymbolError
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_'.-]*")
+_BARE = r"[^()\s]+"  # one bare token
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,10 @@ class LogicDef:
     tokens such as ``(R u v)``.  ``tokens`` maps bare tokens to the
     formulas they stand for, read before proposition lookup (algebraic
     ``0``/``1``).
+
+    A logic refuses a name that would not read back from its rendering:
+    a payload-free connective spelled as one of its Boolean words or as
+    anything but one bare token, and a proposition spelled as a token.
     """
 
     name: str
@@ -199,6 +204,24 @@ class LogicDef:
     spell_or: str = "or"
     sugar: bool = True
     tokens: dict[str, Formula] = field(default_factory=dict)
+
+    def __post_init__(self):
+        words = {self.spell_not, self.spell_and, self.spell_or}
+        if self.sugar:
+            words |= {"imp", "iff"}
+        for sig in self.connectives.values():
+            if sig.payload is not None:
+                continue
+            if sig.key in words:
+                raise EngineError(f"connective {sig.key!r} of {self.name} is spelled "
+                                  "as one of its Boolean words")
+            if not re.fullmatch(_BARE, sig.key):
+                raise EngineError(f"connective {sig.key!r} of {self.name} is not one "
+                                  "token without whitespace or parentheses")
+        for token in sorted(self.tokens):
+            if self.accepts_prop(token):
+                raise EngineError(f"proposition {token!r} of {self.name} is spelled "
+                                  "as a token that stands for another formula")
 
     def accepts_prop(self, token: str) -> bool:
         if self.propositions is None:
@@ -231,7 +254,7 @@ class _Token(NamedTuple):
         return self.offset - self.source.rfind("\n", 0, self.offset)
 
 
-_TOKEN_RE = re.compile(r"[()]|[^()\s]+")
+_TOKEN_RE = re.compile(r"[()]|" + _BARE)
 # _Token's own constructor is a Python-level function; this one is not.
 _token = partial(tuple.__new__, _Token)
 

@@ -389,9 +389,9 @@ def member_loop_differs(f, sp, sigma):
                 break
         return block.eval(f) ^ dm
 
-    def explain(ctx, point) -> dict:
-        holds = bool(ctx.eval(f) >> point & 1)
-        return {**ctx.at(point), "formula_holds": holds, "disjunction_holds": not holds}
+    def explain(block, i, point) -> dict:
+        holds = bool(block.eval(f) >> (i * block.points + point) & 1)
+        return {**block.at(i, point), "formula_holds": holds, "disjunction_holds": not holds}
 
     return fails, explain
 

@@ -33,6 +33,7 @@ RETIRED = (
     "depth",
     "vocabulary",
     "mask_to_list",
+    "BAOInstance",
 )
 
 
@@ -46,7 +47,6 @@ def test_every_exported_name_resolves(module):
 def test_one_report_type_and_one_check_entry_point():
     assert addnf.Report is addnf.logics.Report is base.Report
     assert not hasattr(base.Oracle, "first_failures")
-    assert not hasattr(bao.BAOInstance, "check_equal")
 
 
 @pytest.mark.parametrize("module", [addnf, addnf.logics, addnf.constituents, addnf.rewriter,
@@ -73,7 +73,6 @@ def test_retired_instance_fields_are_gone():
     fields = _field_names(addnf.LogicDef)
     assert "oracle" not in fields and "special_forms" not in fields
     assert not hasattr(gf.GFInstance, "free")
-    assert _field_names(bao.BAOInstance) == _field_names(base.Instance)
     assert "equality" not in _field_names(gf.GFInstance)
     assert {"variables", "relations"} <= _field_names(gf.GFInstance)
     assert "kind" not in {f.name for f in dataclasses.fields(addnf.ConnectiveSig)}
@@ -125,6 +124,19 @@ def test_one_bar_recursion_and_one_block_proposition_reader():
     block = next(inst.oracle.blocks(gen, 1))
     assert block.prop_mask("(R u v)") and not hasattr(block, "_atoms")
     assert "__init__" not in vars(gf._FOBlock)
+
+
+def test_each_value_is_read_where_it_already_is():
+    # Countermodels are read off the failing block; GF atoms are cached
+    # only per block; a space does not hold the domain system it came from.
+    assert not hasattr(base.PackedBlock, "model")
+    assert not hasattr(base._BlockLayout, "single")
+    inst = build_instance("gf")
+    gen = addnf.Generator(0, {"(R u v)"}, (), inst.domain.points)
+    block = next(inst.oracle.blocks(gen, 1))
+    assert not hasattr(block.layout, "_single")
+    assert not hasattr(block.layout.where, "_spreads")
+    assert "ds" not in inspect.signature(addnf.ConstituentSpace).parameters
 
 
 @pytest.mark.parametrize("logic_id", LOGIC_IDS)

@@ -106,7 +106,7 @@ def test_block_masks_match_each_model(dias, props, limit):
         assert len(models) == block.models
         _assert_bits(block, models, formulas)
         for i in (0, block.models // 3, block.models - 1):
-            assert block.model(i).describe() == models[i].describe()
+            assert block.describe(i) == models[i].describe()
         checked += block.models
         sizes.add(block.points)
     assert sizes == {1, 2, 3}
@@ -114,9 +114,9 @@ def test_block_masks_match_each_model(dias, props, limit):
         assert next(refs, None) is None
         return
     # The last block of 3 worlds: every ordinal bit above the block is set.
-    decoded = [ReferenceModel(last.model(i).describe()) for i in range(last.models)]
+    decoded = [ReferenceModel(last.describe(i)) for i in range(last.models)]
     _assert_bits(last, decoded, formulas)
-    top = last.model(last.models - 1).describe()
+    top = last.describe(last.models - 1)
     assert top["valuation"] == {p: [0, 1, 2] for p in props}
     assert all(len(pairs) == 9 for pairs in top["relations"].values())
 
@@ -218,7 +218,7 @@ def test_modal_and_bao_share_one_oracle():
 def _broken(sp, i, j, swap):
     """``sp`` with member i replaced by member j (a gap where i held, an
     overlap where j holds) or widened to (i or j) (the overlap alone)."""
-    broken = type(sp)(sp.gen, sp.ds, sp.xtilde, sp.bar, sp.children)
+    broken = type(sp)(sp.gen, sp.xtilde, sp.bar, sp.children)
     broken._formulas = {m: sp.formula(m) for m in range(sp.size)}
     broken._formulas[i] = sp.formula(j) if swap else Or(sp.formula(i), sp.formula(j))
     return broken
@@ -326,7 +326,7 @@ def _held(oracle, gen, bound, sp):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_contexts_enumerate_the_reference_models(name):
     inst, gen, bound, _ = _case(name)
-    got = [ctx.describe() for ctx in inst.oracle.contexts(gen, bound)]
+    got = [ctx.describe(0) for ctx in inst.oracle.contexts(gen, bound)]
     assert got == list(reference_models(inst.oracle, gen, bound))
 
 
@@ -343,7 +343,7 @@ def test_packed_masks_match_each_model(name):
         assert len(models) == block.models
         _assert_bits(block, models, formulas)
         for i in (0, block.models // 3, block.models - 1):
-            assert block.model(i).describe() == models[i].describe()
+            assert block.describe(i) == models[i].describe()
         sizes.append(block.models)
     assert next(refs, None) is None
     assert len(sizes) == bound

@@ -3,7 +3,9 @@ import time
 
 import pytest
 
+from addnf import EngineError
 from addnf.cli import main
+from addnf.logics import build_instance
 
 
 def run(capsys, *argv):
@@ -237,16 +239,88 @@ MALFORMED = [
 @pytest.mark.parametrize("config,argv", [c[1:] for c in MALFORMED],
                          ids=[c[0] for c in MALFORMED])
 def test_malformed_input_exits_one(capsys, tmp_path, config, argv):
-    if config is not None:
-        cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps(config))
-        argv = argv[:-1] + ["--config", str(cfg), argv[-1]]
+    argv = _with_config(tmp_path, config, argv)
     t0 = time.perf_counter()
     code, out, err = run(capsys, *argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
     assert out == ""
+
+
+def _with_config(tmp_path, config, argv):
+    """``argv`` with ``config``, unless None, written to a file and passed
+    by ``--config`` before the last argument."""
+    if config is None:
+        return argv
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    return argv[:-1] + ["--config", str(cfg), argv[-1]]
+
+
+FOURTEEN = ",".join([f"p{i}" for i in range(10)] + ["pa", "pb", "pc", "pd"])
+
+# (label, config or None, argv, what the one error line says): error
+# paths that no other test reaches, each exit 1.
+ERROR_LINES = [
+    ("config-not-an-object", [1, 2], ["parse", "p"], "must hold a JSON object"),
+    ("X-not-a-proposition", None, ["count", "--logic", "modal-k", "--X", "(x", "--k", "1"],
+     "unknown proposition '(x' for --X"),
+    ("count-without-X", None, ["count", "--k", "0"], "--X is required"),
+    ("count-too-long-to-print", None,
+     ["count", "--logic", "modal-k", "--k", "1", "--X", FOURTEEN],
+     "2**16398 members; the count has too many digits to print"),
+    ("X-empty", None, ["normalize", "--X", ",", "p"], "no subset of V=['*'] is large enough"),
+    ("empty-input", None, ["parse", ""], "unexpected end of input"),
+    ("list-as-head", None, ["parse", "((not) p)"], "expected a connective name (at 1:2)"),
+    ("gf-one-variable", {"variables": ["u"]}, ["parse", "--logic", "gf", "p"],
+     "at least two variables"),
+    ("gf-relation-named-eq", {"relations": {"=": 2}}, ["parse", "--logic", "gf", "p"],
+     "spell equality via the equality flag"),
+    ("gf-arity-0", {"relations": {"R": 0}}, ["parse", "--logic", "gf", "p"],
+     "relation 'R' must have arity >= 1"),
+    ("bao-rank-0", {"operators": {"f": 0}}, ["parse", "--logic", "bao", "x"],
+     "operator 'f' must have rank >= 1"),
+    ("bao-variable-and-constant", {"constants": ["x"]}, ["parse", "--logic", "bao", "x"],
+     "variables and constants must be disjoint"),
+    ("bao-no-symbol", {"variables": []}, ["parse", "--logic", "bao", "x"],
+     "needs at least one variable or constant"),
+    ("bao-operator-named-like-a-symbol", {"operators": {"x": 1}},
+     ["parse", "--logic", "bao", "x"], "operator names must not collide with symbols"),
+    ("connective-largeness", None,
+     ["verify", "--logic", "gf", "--X", "(R u u)", "(ex (v) (R v v) (R v v))"],
+     "connective-largeness: j2((ex (v) (R v v))) is not large enough for X"),
+]
+
+
+@pytest.mark.parametrize("config,argv,says", [c[1:] for c in ERROR_LINES],
+                         ids=[c[0] for c in ERROR_LINES])
+def test_each_error_path_is_one_error_line(capsys, tmp_path, config, argv, says):
+    code, out, err = run(capsys, *_with_config(tmp_path, config, argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and says in err
+
+
+# (logic, config, what the error says): names whose formulas would not
+# read back as themselves after rendering.
+UNREADABLE_NAMES = [
+    ("modal-k", {"diamonds": ["not"]}, "connective 'not' of modal-k is spelled as one of its"),
+    ("modal-k", {"diamonds": ["imp"]}, "connective 'imp' of modal-k is spelled as one of its"),
+    ("bao", {"operators": {"plus": 1}}, "connective 'plus' of bao is spelled as one of its"),
+    ("bao", {"variables": ["0", "x"]}, "proposition '0' of bao is spelled as a token"),
+    ("modal-k", {"diamonds": ["(x"]}, "connective '(x' of modal-k is not one token"),
+    ("modal-k", {"diamonds": ["a b"]}, "connective 'a b' of modal-k is not one token"),
+]
+
+
+@pytest.mark.parametrize("logic,config,says", UNREADABLE_NAMES)
+def test_a_logic_refuses_names_it_cannot_read_back(capsys, tmp_path, logic, config, says):
+    with pytest.raises(EngineError) as refused:
+        build_instance(logic, config)
+    assert says in str(refused.value)
+    argv = _with_config(tmp_path, config, ["parse", "--logic", logic, "p"])
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {refused.value}\n")
 
 
 # The flags each command does not read, with a value where one is taken.

@@ -3,6 +3,7 @@ import pytest
 from helpers import free_vars
 
 from addnf import (
+    ConnectiveSig,
     DomainSystem,
     EngineError,
     Generator,
@@ -126,6 +127,15 @@ def test_system_validation():
         DomainSystem(frozenset("ab"), {"p": frozenset("c")}, {}, {})
     with pytest.raises(EngineError):
         DomainSystem(frozenset("ab"), {}, {"d": frozenset("a")}, {})
+
+
+def test_domain_system_errors_name_what_is_missing(modal_inst):
+    with pytest.raises(EngineError, match="iota_default is not a subset of V"):
+        DomainSystem(frozenset("ab"), {}, {}, {}, iota_default=frozenset("c"))
+    box = ConnectiveSig("box", 1)
+    for border in (modal_inst.domain.j1_of, modal_inst.domain.j2_of):
+        with pytest.raises(EngineError, match="connective 'box' has no j1/j2 entries"):
+            border(box)
 
 
 def test_unmapped_proposition(gf_rs):

@@ -236,11 +236,11 @@ def test_bao_forms_hand_check(bao_x):
     fsig = bao_x.logic.connectives["f"]
     g0 = Generator(0, {"x"}, {fsig}, bao_x.domain.points)
     sp0 = space(g0, bao_x.domain)
-    assert [bao_x.render_term(sp0.formula(i)) for i in range(2)] == ["x", "(minus x)"]
+    assert [render_formula(sp0.formula(i), bao_x.logic) for i in range(2)] == ["x", "(minus x)"]
     g1 = Generator(1, {"x"}, {fsig}, bao_x.domain.points)
     sp1 = space(g1, bao_x.domain)
     assert sp1.size == 8
-    assert bao_x.render_term(sp1.formula(0)) == (
+    assert render_formula(sp1.formula(0), bao_x.logic) == (
         "(times x (times (f x) (f (minus x))))"
     )
 
@@ -277,15 +277,15 @@ def test_bao_degree_one_forms_sum_to_unit(bao_x):
 
     fsig = bao_x.logic.connectives["f"]
     gen = Generator(1, {"x"}, {fsig}, bao_x.domain.points)
-    r = normalize(bao_x.unit(), gen, bao_x.domain)
+    r = normalize(bao_x.logic.tokens["1"], gen, bao_x.domain)
     assert r.sigma == frozenset(range(8))
     total = disjunction(r)
-    assert bao_x.oracle.check_equal(total, bao_x.unit(), 3).ok
+    assert bao_x.oracle.check_equal(total, bao_x.logic.tokens["1"], 3).ok
     sp = space(gen, bao_x.domain)
     for i in range(sp.size):
         for j in range(i + 1, sp.size):
             meet = And(sp.formula(i), sp.formula(j))
-            assert bao_x.oracle.check_equal(meet, bao_x.zero(), 2).ok
+            assert bao_x.oracle.check_equal(meet, bao_x.logic.tokens["0"], 2).ok
 
 
 def test_modal_diamond_additivity_of_instance(modal_inst):
@@ -328,3 +328,32 @@ def test_gf_language_size_is_checked_before_enumerating():
                                 ({"R": 10 ** 9}, False)):
         with pytest.raises(EngineError, match="atoms"):
             gf_instance(("u", "v"), relations, equality)
+
+
+def test_gf_lookups_name_what_they_miss(gf_r):
+    with pytest.raises(EngineError, match=r"no such atom '\(S u\)'"):
+        gf_r.atom("S", "u")
+    with pytest.raises(EngineError, match=r"no such quantifier '\(ex \(u\) \(R v v\)\)'"):
+        gf_r.quantifier(("u",), "(R v v)")
+
+
+def test_a_block_refuses_a_proposition_outside_its_model(modal_inst):
+    gen = Generator(0, {"p"}, (), modal_inst.domain.points)
+    block = next(modal_inst.oracle.blocks(gen, 1))
+    with pytest.raises(EngineError, match="proposition 'q' has no valuation in this model"):
+        block.prop_mask("q")
+
+
+@pytest.mark.parametrize("logic_id,config", [
+    ("bao", {"operators": {"and": 2}}),
+    ("modal-k", {"diamonds": ["plus"]}),
+])
+def test_a_connective_may_take_another_logics_boolean_word(logic_id, config):
+    # Each logic refuses only its own words: every member reads back.
+    inst = build_instance(logic_id, config)
+    X = {min(inst.logic.propositions or {"p"})}
+    conns = frozenset(inst.logic.connectives.values())
+    sp = space(Generator(1, X, conns, inst.domain.points), inst.domain)
+    for i in range(sp.size):
+        f = sp.formula(i)
+        assert parse_formula(render_formula(f, inst.logic), inst.logic) == f

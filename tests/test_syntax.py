@@ -184,9 +184,9 @@ def test_round_trip_bao(bao_xy):
 
 def test_bao_zero_one_expand(bao_xy):
     zero = parse_formula("0", bao_xy.logic)
-    assert zero == And(Prop("x"), Not(Prop("x"))) == bao_xy.zero()
+    assert zero == And(Prop("x"), Not(Prop("x"))) == bao_xy.logic.tokens["0"]
     one = parse_formula("1", bao_xy.logic)
-    assert one == Or(Prop("x"), Not(Prop("x"))) == bao_xy.unit()
+    assert one == Or(Prop("x"), Not(Prop("x"))) == bao_xy.logic.tokens["1"]
     f = parse_formula("(plus (f 0) (times y 1))", bao_xy.logic)
     assert f == Or(App(bao_xy.logic.connectives["f"], (zero,)), And(Prop("y"), one))
 
