@@ -39,6 +39,7 @@ from .syntax import (
     disj_all,
     parse_formula,
     render_formula,
+    render_formulas,
     shape,
 )
 
@@ -78,6 +79,7 @@ __all__ = [
     "parse_formula",
     "partition_check",
     "render_formula",
+    "render_formulas",
     "shape",
     "space",
     "suitable",

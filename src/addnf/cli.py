@@ -23,7 +23,7 @@ from .domain_system import Generator, derive_generator
 from .errors import CapExceeded, EngineError
 from .logics import DEFAULT_BOUND, LOGIC_IDS, build_instance
 from .rewriter import disjunction, normalize, verify
-from .syntax import parse_formula, render_formula, shape
+from .syntax import parse_formula, render_formula, render_formulas, shape
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,12 +173,11 @@ def cmd_enumerate(args) -> int:
     inst = _instance(args)
     gen = _generator(args, inst)
     sp = space(gen, inst.domain, args.cap)
-    members = []
-    for i in range(sp.size):
-        doc = sp.describe_member(i)
-        if args.render:
-            doc["formula"] = render_formula(sp.formula(i), inst.logic)
-        members.append(doc)
+    members = [sp.describe_member(i) for i in range(sp.size)]
+    if args.render:
+        texts = render_formulas([sp.formula(i) for i in range(sp.size)], inst.logic)
+        for doc, text in zip(members, texts):
+            doc["formula"] = text
     _emit({"key": gen.describe(), "size": sp.size, "members": members}, args.fmt)
     return 0
 

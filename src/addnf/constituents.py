@@ -66,6 +66,7 @@ class ConstituentSpace:
         self.children = children              # conn key (None: degenerate) -> child space
         self.size = (1 << len(xtilde)) << len(bar)
         self._formulas: dict[int, Formula] = {}
+        self._runs: dict[tuple, Formula] = {}  # (start, end, sign word) -> run
         self._signs = None                    # (literals, their negations)
         self._sign_masks: dict[int, int] = {}
 
@@ -119,17 +120,36 @@ class ConstituentSpace:
 
     def formula(self, i: int) -> Formula:
         """Render member i: the signed X-tilde block conjoined (at degree
-        >= 1) with the signed bar block, each block in canonical order."""
+        >= 1) with the signed bar block, each block in canonical order and
+        folded as ``conj_all`` folds it.
+
+        A run of literals is folded once per sign word over it, so members
+        whose signs agree on a run share that run's node: the members
+        together cost their distinct runs, not one tree each.
+        """
         f = self._formulas.get(i)
         if f is None:
-            positive = self._positive(i)
-            literals, negated = self.literals(), self._signs[1]
-            signed = [g if s else ng for g, ng, s in zip(literals, negated, positive)]
+            if not 0 <= i < self.size:
+                raise _out_of_range(i, self.size)
+            self.literals()  # fills self._signs, which _run reads
             nx = len(self.xtilde)
-            f = conj_all(signed[:nx])
+            f = self._run(i, 0, nx)
             if self.bar:
-                f = And(f, conj_all(signed[nx:]))
+                f = And(f, self._run(i, nx, nx + len(self.bar)))
             self._formulas[i] = f
+        return f
+
+    def _run(self, i: int, start: int, end: int) -> Formula:
+        """Member i's signed literals ``start`` to ``end - 1``, split where
+        ``conj_all`` splits them and memoized by their sign word."""
+        n = len(self.xtilde) + len(self.bar)
+        if end - start < 2:  # one literal; none raises as conj_all does
+            return conj_all(self._signs[i >> (n - end) & 1][start:end])
+        key = (start, end, i >> (n - end) & ((1 << (end - start)) - 1))
+        f = self._runs.get(key)
+        if f is None:
+            mid = start + (end - start + 1) // 2
+            f = self._runs[key] = And(self._run(i, start, mid), self._run(i, mid, end))
         return f
 
     # -- index masks (used by the rewriter) ------------------------------------

@@ -438,25 +438,66 @@ def _expect_arity(head, args, rank, tok):
 
 
 def render_formula(f: Formula, logic: LogicDef | None = None) -> str:
-    """Deterministic rendering; ``parse_formula(render_formula(f)) == f``."""
+    """Deterministic rendering; ``parse_formula(render_formula(f)) == f``.
+
+    It is ``render_formulas([f], logic)[0]``: each distinct node is
+    rendered once, however often the formula shares it.
+    """
+    return render_formulas([f], logic)[0]
+
+
+def render_formulas(fs, logic: LogicDef | None = None) -> list[str]:
+    """The rendering of each formula of ``fs``, in order.
+
+    One walk serves them all, and its cost is the distinct nodes of ``fs``,
+    not their unfolded trees: a node's text is rendered once and, when the
+    node is used more than once (by two parents, or twice in ``fs``), kept
+    for its other uses until the call returns.  A node used once keeps no
+    text, so the texts along a long spine are not all held at once.
+    """
+    fs = list(fs)
     sn = logic.spell_not if logic else "not"
     sa = logic.spell_and if logic else "and"
     so = logic.spell_or if logic else "or"
+    # How often each node is used; an explicit stack, so no nesting limit.
+    uses: dict[int, int] = {}
+    todo = list(fs)
+    while todo:
+        g = todo.pop()
+        n = uses.get(id(g), 0)
+        uses[id(g)] = n + 1
+        if n:
+            continue
+        if isinstance(g, Not):
+            todo.append(g.child)
+        elif isinstance(g, (And, Or)):
+            todo += (g.left, g.right)
+        elif isinstance(g, App):
+            todo += g.args
+    texts: dict[int, str] = {}
 
     def r(g: Formula) -> str:
         if isinstance(g, Prop):
             return g.name
+        text = texts.get(id(g))
+        if text is not None:
+            return text
         if isinstance(g, Not):
-            return f"({sn} {r(g.child)})"
-        if isinstance(g, And):
-            return f"({sa} {r(g.left)} {r(g.right)})"
-        if isinstance(g, Or):
-            return f"({so} {r(g.left)} {r(g.right)})"
-        if isinstance(g, App):
+            text = f"({sn} {r(g.child)})"
+        elif isinstance(g, And):
+            text = f"({sa} {r(g.left)} {r(g.right)})"
+        elif isinstance(g, Or):
+            text = f"({so} {r(g.left)} {r(g.right)})"
+        elif isinstance(g, App):
             inner = " ".join(map(r, g.args))
             if g.conn.payload is not None:  # its key, then its arguments
-                return f"{g.conn.key[:-1]} {inner})"
-            return f"({g.conn.name} {inner})"
-        raise TypeError(f"not a formula: {g!r}")
+                text = f"{g.conn.key[:-1]} {inner})"
+            else:
+                text = f"({g.conn.name} {inner})"
+        else:
+            raise TypeError(f"not a formula: {g!r}")
+        if uses[id(g)] > 1:
+            texts[id(g)] = text
+        return text
 
-    return r(f)
+    return list(map(r, fs))

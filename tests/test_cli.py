@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from addnf import EngineError
+from addnf import EngineError, Generator, render_formula, space
 from addnf.cli import main
 from addnf.logics import build_instance
 
@@ -48,6 +48,16 @@ def test_enumerate(capsys):
     assert doc["size"] == 4
     assert doc["members"][0] == {"color": ["p", "q"], "formula": "(and p q)", "index": 0}
     assert doc["members"][3]["color"] == []
+
+
+def test_enumerate_renders_each_member_as_render_formula(capsys):
+    doc = run_json(capsys, "enumerate", "--logic", "modal-k", "--X", "p", "--k", "2", "--render")
+    inst = build_instance("modal-k")
+    gen = Generator(2, {"p"}, frozenset(inst.logic.connectives.values()), inst.domain.points)
+    sp = space(gen, inst.domain)
+    assert [m["index"] for m in doc["members"]] == list(range(sp.size)) and sp.size == 512
+    for m in doc["members"]:
+        assert m["formula"] == render_formula(sp.formula(m["index"]), inst.logic)
 
 
 def test_enumerate_modal_sub_schema(capsys):

@@ -299,13 +299,19 @@ def test_count_visits_only_the_areas_each_degree_reaches():
     assert str(e.value).startswith("space (2, ('p',), ('in', 'wide'), ('a', 'b'))")
 
 
-def test_literals_spell_the_member_index(prop_inst, modal_inst):
+def test_literals_spell_the_member_index(prop_inst, modal_inst, bao_x, gf_r):
     # Each member is its literals signed by its color and positive bar set:
     # the index read in binary, first literal most significant, 0 positive.
     dia = modal_inst.diamonds[0]
+    fsig = bao_x.logic.connectives["f"]
+    atom = gf_r.atom("R", "v", "v")
+    quants = frozenset(gf_r.quantifier(b, atom) for b in [(), ("v",)])
     spaces = [
         space(Generator(2, {"p"}, {dia}, modal_inst.domain.points), modal_inst.domain),
+        space(Generator(1, {"p", "q", "r"}, {dia}, modal_inst.domain.points), modal_inst.domain),
         space(Generator(1, {"p", "q"}, frozenset(), prop_inst.domain.points), prop_inst.domain),
+        space(Generator(2, {"x"}, {fsig}, bao_x.domain.points), bao_x.domain),
+        space(Generator(1, {atom}, quants, {"v"}), gf_r.domain),
     ]
     for sp in spaces:
         literals = sp.literals()
@@ -317,3 +323,15 @@ def test_literals_spell_the_member_index(prop_inst, modal_inst):
             signs = [x in color for x in sp.xtilde] + [t in pos_bar for t in range(len(sp.bar))]
             signed = [g if s else Not(g) for g, s in zip(literals, signs)]
             assert sp.formula(i) == And(conj_all(signed[:nx]), conj_all(signed[nx:]))
+        # Members whose signs agree on a block share that block's node.
+        nbar = len(sp.bar)
+        for i in (0, 5, sp.size - 1):
+            bar_bits = i & ((1 << nbar) - 1)
+            for color in range(1 << nx):
+                j = color << nbar | bar_bits
+                assert sp.formula(i).right is sp.formula(j).right
+            assert sp.formula(i).left is sp.formula(i ^ 1).left
+        if nbar >= 2:  # and the halves of a block, when only the other half differs
+            half = nbar // 2  # the second half's length, as conj_all splits
+            assert sp.formula(0).right.right is sp.formula(1 << half).right.right
+            assert sp.formula(0).right.left is sp.formula(1).right.left

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -8,16 +10,22 @@ from addnf import (
     App,
     ConnectiveSig,
     DomainViolation,
+    Generator,
     Not,
     Or,
     ParseError,
     Prop,
     UnknownSymbolError,
     conj_all,
+    derive_generator,
     disj_all,
+    disjunction,
+    normalize,
     parse_formula,
     render_formula,
+    render_formulas,
     shape,
+    space,
 )
 
 
@@ -320,3 +328,53 @@ def test_deep_argument_of_a_connective_parses(modal_inst):
     f = parse_formula("(dia " + "(not " * n + "p" + ")" * n + ")", modal_inst.logic)
     assert isinstance(f, App) and f.conn == modal_inst.diamonds[0]
     assert modal_inst.domain.iota(f.args[0]) == modal_inst.domain.points
+
+
+def _member_spaces(modal_inst, bao_x, gf_r):
+    """Modal-k degree 2 over {p}, BAO degree 1 over {x} and a small GF space,
+    each with its logic."""
+    dia = modal_inst.diamonds[0]
+    fsig = bao_x.logic.connectives["f"]
+    atom = gf_r.atom("R", "v", "v")
+    quants = frozenset(gf_r.quantifier(b, atom) for b in [(), ("v",)])
+    cases = [
+        (modal_inst, Generator(2, {"p"}, {dia}, modal_inst.domain.points)),
+        (bao_x, Generator(1, {"x"}, {fsig}, bao_x.domain.points)),
+        (gf_r, Generator(1, {atom}, quants, {"v"})),
+    ]
+    return [(space(gen, inst.domain), inst.logic) for inst, gen in cases]
+
+
+def test_render_formulas_renders_each_as_render_formula(modal_inst, bao_x, gf_r):
+    for sp, logic in _member_spaces(modal_inst, bao_x, gf_r):
+        members = [sp.formula(i) for i in range(sp.size)]
+        texts = render_formulas(members, logic)
+        assert texts == [render_formula(f, logic) for f in members]
+        assert [parse_formula(t, logic) for t in texts] == members
+    assert render_formulas([]) == []
+    with pytest.raises(TypeError, match="not a formula"):
+        render_formulas([Prop("p"), And(Prop("p"), "q")])
+
+
+def test_a_formula_used_twice_renders_twice(prop_inst):
+    shared = And(Prop("p"), Not(Prop("q")))
+    f = Or(shared, Not(shared))
+    text = "(or (and p (not q)) (not (and p (not q))))"
+    assert render_formulas([f, shared, f], prop_inst.logic) == [text, "(and p (not q))", text]
+
+
+def test_rendering_a_large_disjunction_holds_little_besides_its_text(modal_inst):
+    # The 480 members of (dia (dia p)) share their runs of literals.  A
+    # rendering that kept every node's text would hold the Or spine's
+    # texts too, many times the length of the result.
+    f = parse_formula("(dia (dia p))", modal_inst.logic)
+    result = normalize(f, derive_generator(f, modal_inst.domain), modal_inst.domain)
+    assert len(result.sigma) == 480
+    d = disjunction(result)
+    tracemalloc.start()
+    try:
+        text = render_formula(d, modal_inst.logic)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(text)
